@@ -42,7 +42,11 @@ pub struct Decomposition {
 
 /// Validates a bound set: non-empty, at most [`MAX_BOUND`] variables, no
 /// duplicates.
-fn validate_bound(bound: &[u32]) -> Result<(), BddError> {
+///
+/// # Errors
+///
+/// [`BddError::InvalidBoundSet`] naming the violated condition.
+pub fn validate_bound(bound: &[u32]) -> Result<(), BddError> {
     if bound.is_empty() {
         return Err(BddError::InvalidBoundSet("bound set must be non-empty"));
     }

@@ -17,7 +17,10 @@
 //!       --max-wires <1|2>   decomposition wires (default 1)
 //!       --timeout-ms <N>    wall-clock budget; past it the best verified
 //!                           mapping found so far is emitted (exit code 3)
-//!       --max-bdd-nodes <N> per-decomposition BDD-node ceiling
+//!       --max-bdd-nodes <N> per-decomposition BDD-node ceiling; with it
+//!                           set, decomposition runs on BDDs (without it,
+//!                           cuts of at most 16 inputs are decomposed as
+//!                           truth tables and only wider ones on BDDs)
 //!   -j, --jobs <N>          label-sweep worker threads (default 1; results
 //!                           are identical for every N)
 //!       --min-registers     run exact register minimization

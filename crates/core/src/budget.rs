@@ -75,7 +75,9 @@ pub struct Budget {
     pub max_work: Option<u64>,
     /// Per-decomposition BDD-node ceiling (each resynthesis attempt uses
     /// a fresh manager, so this bounds a single cut function's
-    /// decomposition, deterministically).
+    /// decomposition, deterministically). Setting it runs every
+    /// decomposition on BDDs; without it, cuts of at most 16 inputs are
+    /// decomposed as truth tables, which need no ceiling.
     pub max_bdd_nodes: Option<usize>,
     /// Labeling sweeps per φ probe; a probe that exceeds it is treated
     /// as infeasible (sound: the search then settles on a higher,

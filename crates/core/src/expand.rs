@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use turbosyn_bdd::{Bdd, BddError, Manager};
-use turbosyn_netlist::tt::TruthTable;
+use turbosyn_netlist::tt::{TruthTable, MAX_VARS};
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
 
 /// One node of an expanded circuit: original node `orig` seen through
@@ -297,7 +297,8 @@ impl Expansion {
         out
     }
 
-    /// Cut function as a flat truth table (input `i` = `cut[i]`).
+    /// Cut function as a flat truth table (input `i` = `cut[i]`), built
+    /// gate by gate on truth tables.
     ///
     /// # Errors
     ///
@@ -308,16 +309,48 @@ impl Expansion {
     ///
     /// Panics under the same conditions as [`Expansion::cone_bdd`].
     pub fn cone_tt(&self, c: &Circuit, cut: &[usize]) -> Result<TruthTable, BddError> {
-        if cut.len() > 16 {
+        if cut.len() > usize::from(MAX_VARS) {
             return Err(BddError::TooManyVars {
                 nvars: cut.len() as u32,
-                max: 16,
+                max: u32::from(MAX_VARS),
             });
         }
-        let mut m = Manager::new();
-        let b = self.cone_bdd(c, cut, &mut m);
-        let bits = m.to_truth_table(b, cut.len() as u32)?;
-        Ok(TruthTable::from_bits(cut.len() as u8, &bits))
+        let nvars = cut.len() as u8;
+        let mut memo: HashMap<usize, TruthTable> = cut
+            .iter()
+            .enumerate()
+            .map(|(i, &xi)| (xi, TruthTable::lit(nvars, i as u8)))
+            .collect();
+        self.cone_tt_rec(c, 0, nvars, &mut memo);
+        Ok(memo.remove(&0).expect("the root was evaluated"))
+    }
+
+    /// Evaluates node `xi` into `memo` (which holds the cut literals).
+    fn cone_tt_rec(
+        &self,
+        c: &Circuit,
+        xi: usize,
+        nvars: u8,
+        memo: &mut HashMap<usize, TruthTable>,
+    ) {
+        if memo.contains_key(&xi) {
+            return;
+        }
+        assert!(
+            self.expanded[xi],
+            "cut does not separate the root: reached leaf {:?}",
+            self.nodes[xi]
+        );
+        let orig = self.nodes[xi].orig;
+        let NodeKind::Gate(tt) = &c.node(NodeId::from_index(orig)).kind else {
+            panic!("interior node {:?} is not a gate", self.nodes[xi]);
+        };
+        for &ci in &self.fanins[xi] {
+            self.cone_tt_rec(c, ci, nvars, memo);
+        }
+        let fan: Vec<&TruthTable> = self.fanins[xi].iter().map(|ci| &memo[ci]).collect();
+        let out = tt.compose(nvars, &fan);
+        memo.insert(xi, out);
     }
 }
 

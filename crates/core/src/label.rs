@@ -364,9 +364,9 @@ pub(crate) fn resyn_realization(
                 gauge.note(DegradeEvent::BddCeiling { node: v });
                 return Ok(None);
             }
-            // Argument-class errors are unreachable here (bound sets come
-            // from the live support, wires are validated); treat any
-            // residual case as "no realization" rather than aborting.
+            // The one argument error reachable here is a bound-set window
+            // wider than `MAX_BOUND` (K >= 13); it ends the descent as "no
+            // realization" rather than aborting.
             Err(_) => return Ok(None),
         }
     }

@@ -12,9 +12,11 @@
 //!
 //! 1. **Sequential functional decomposition** ([`seqdecomp`]): when no
 //!    K-feasible cut of the required height exists on the expanded
-//!    circuit ([`expand`]), the cut function is resynthesized with
-//!    OBDD-based decomposition so that non-critical inputs are buried in
-//!    extra LUT levels and critical loops break.
+//!    circuit ([`expand`]), the cut function is resynthesized by
+//!    functional decomposition (on truth tables for cuts of at most 16
+//!    inputs, on BDDs for wider cuts or under a BDD-node ceiling) so that
+//!    non-critical inputs are buried in extra LUT levels and critical
+//!    loops break.
 //! 2. **Positive loop detection** ([`pld`]): infeasible φ probes are
 //!    detected by a predecessor-graph isolation test instead of the
 //!    `n²`-iteration bound, the paper's 10–50x label-computation speedup.

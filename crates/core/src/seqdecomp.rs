@@ -4,9 +4,8 @@
 //! circuit, TurboSYN takes a (possibly wide) min-cut of height `<= H − h`
 //! for growing `h`, forms the **sequential cut function**
 //! `f(u_1^{w_1}, …, u_m^{w_m})` (Figure 2 of the paper), and resynthesizes
-//! it with OBDD-based functional decomposition so that the root LUT sees
-//! at most K inputs while every original input still meets its timing
-//! budget:
+//! it with functional decomposition so that the root LUT sees at most K
+//! inputs while every original input still meets its timing budget:
 //!
 //! * input `u^w` enters the tree at depth `j` LUT levels ⇒ it contributes
 //!   `l(u) − φ·w + j` to the root label, which must stay `<= H`;
@@ -15,14 +14,23 @@
 //!   sub-LUTs.
 //!
 //! Each extraction is an Ashenhurst step (column multiplicity `<= 2`, one
-//! encoding wire), exactly verified by BDD recomposition. The result is a
+//! encoding wire), or a Roth–Karp step with two wires. The result is a
 //! [`Realization`]: the LUT tree that mapping generation will instantiate.
+//!
+//! The paper decomposes with OBDDs. Here a cut function of at most 16
+//! inputs is built and decomposed as a bit-parallel truth table: the
+//! bound set is swapped to the top variables, so every cofactor column is
+//! a contiguous slice of the table. BDDs are used for wider cuts and
+//! whenever a BDD-node ceiling is set, since a ceiling counts BDD nodes.
+//! The window search (`decompose_template`) exists once and drives
+//! either backend through the `CutFunction` trait, so both take the same
+//! decisions; tests compare them template for template.
 
 use crate::expand::{ExpNode, Expansion};
 use turbosyn_bdd::cache::{CachedOutcome, LutTemplate, SignatureKey, TemplateInput, TemplateLut};
-use turbosyn_bdd::decompose::{decompose, recompose};
+use turbosyn_bdd::decompose::{decompose, recompose, validate_bound};
 use turbosyn_bdd::{Bdd, BddError, DecompCache, Manager};
-use turbosyn_netlist::tt::TruthTable;
+use turbosyn_netlist::tt::{TruthTable, MAX_VARS};
 use turbosyn_netlist::Circuit;
 
 /// Where a LUT input comes from.
@@ -122,14 +130,19 @@ pub fn resynthesize(
 
 /// Like [`resynthesize`], but allowing up to `max_wires` encoding
 /// functions per extraction (Roth–Karp) and an optional BDD-node ceiling
-/// `bdd_limit` for the (fresh, per-call) manager. The paper uses
-/// single-output decomposition (`max_wires = 1`) and cites multi-output
-/// decomposition \[26\] as future work; `max_wires = 2` implements that
-/// extension: bound sets with column multiplicity up to 4 become two
-/// encoder LUTs feeding the root, trading LUT count for coverable cases.
+/// `bdd_limit`. The paper uses single-output decomposition
+/// (`max_wires = 1`) and cites multi-output decomposition \[26\] as future
+/// work; `max_wires = 2` implements that extension: bound sets with
+/// column multiplicity up to 4 become two encoder LUTs feeding the root,
+/// trading LUT count for coverable cases.
+///
+/// Cuts of at most 16 inputs are decomposed on truth tables. Wider cuts,
+/// and every call with a `bdd_limit`, run on a fresh (per-call) BDD
+/// manager; both take the same decisions.
 ///
 /// # Errors
 ///
+/// [`BddError::InvalidWireCount`] unless `max_wires` is 1 or 2, and
 /// [`BddError::NodeLimit`] when the decomposition blew through
 /// `bdd_limit`. Because the manager is created fresh here, the outcome is
 /// deterministic in the inputs and the limit — mapping generation replays
@@ -146,24 +159,23 @@ pub fn resynthesize_wires(
     max_wires: usize,
     bdd_limit: Option<usize>,
 ) -> Result<Option<Realization>, BddError> {
-    // Locally proven: both the CLI and the mappers validate max_wires
-    // before any labeling starts.
-    assert!(
-        (1..=2).contains(&max_wires),
-        "1 or 2 encoding wires supported"
-    );
-    let m_inputs = cut.len();
-    if m_inputs == 0 {
+    check_wires(max_wires)?;
+    if cut.is_empty() {
         return Ok(None);
     }
-    let mut mgr = Manager::new();
-    mgr.set_node_limit(bdd_limit);
-    let f = exp.cone_bdd(c, cut, &mut mgr);
-    // The cone construction itself is not budget-polled (manager ops are
-    // infallible); a blown ceiling is caught by the first poll below.
-    mgr.check_budget()?;
     let deltas = cut_deltas(exp, cut, phi, labels, height);
-    let template = decompose_template(&mut mgr, f, m_inputs, &deltas, k, max_wires)?;
+    let template = if bdd_limit.is_none() && cut.len() <= usize::from(MAX_VARS) {
+        let tt = exp.cone_tt(c, cut)?;
+        decompose_template(&mut TtCut::new(tt), &deltas, k, max_wires)?
+    } else {
+        let mut mgr = Manager::new();
+        mgr.set_node_limit(bdd_limit);
+        let f = exp.cone_bdd(c, cut, &mut mgr);
+        // The cone construction itself is not budget-polled (manager ops
+        // are infallible); a blown ceiling is caught here.
+        mgr.check_budget()?;
+        decompose_template(&mut BddCut::new(mgr, f, cut.len()), &deltas, k, max_wires)?
+    };
     Ok(template.map(|t| instantiate(&t, &cut_srcs(exp, cut))))
 }
 
@@ -171,13 +183,14 @@ pub fn resynthesize_wires(
 /// by the canonical cut-function signature (truth table in cut order +
 /// criticality deltas + `k`/`max_wires`/`bdd_limit`).
 ///
-/// On a miss the decomposition runs on a **fresh manager seeded from the
-/// truth table**, so the cached outcome is a pure function of the key
-/// and hit replays are exact — including [`BddError::NodeLimit`] trips,
-/// which are cached with their original counts. A ceiling trip during
-/// cone construction itself is *not* cached (it happens before the key
-/// exists and is cheap to re-derive). Cuts wider than 16 inputs exceed
-/// the flat-truth-table signature and fall back to the uncached path.
+/// On a miss the decomposition runs on the truth table itself, or with a
+/// `bdd_limit` on a **fresh manager seeded from the truth table**, so the
+/// cached outcome is a pure function of the key and hit replays are
+/// exact — including [`BddError::NodeLimit`] trips, which are cached with
+/// their original counts. A ceiling trip while building the cone as a
+/// BDD is *not* cached (it happens before the key exists and is cheap to
+/// re-derive). Cuts wider than 16 inputs exceed the flat-truth-table
+/// signature and fall back to the uncached path.
 ///
 /// # Errors
 ///
@@ -195,24 +208,27 @@ pub(crate) fn resynthesize_cached(
     bdd_limit: Option<usize>,
     cache: &DecompCache,
 ) -> Result<Option<Realization>, BddError> {
-    if cut.is_empty() || cut.len() > 16 {
+    check_wires(max_wires)?;
+    if cut.is_empty() || cut.len() > usize::from(MAX_VARS) {
         return resynthesize_wires(exp, c, cut, phi, labels, height, k, max_wires, bdd_limit);
     }
-    assert!(
-        (1..=2).contains(&max_wires),
-        "1 or 2 encoding wires supported"
-    );
-    let mut cone_mgr = Manager::new();
-    cone_mgr.set_node_limit(bdd_limit);
-    let f = exp.cone_bdd(c, cut, &mut cone_mgr);
-    cone_mgr.check_budget()?;
-    let bits = cone_mgr.to_truth_table(f, cut.len() as u32)?;
-    drop(cone_mgr);
-    let deltas = cut_deltas(exp, cut, phi, labels, height);
+    let nvars = cut.len() as u8;
+    let tt = match bdd_limit {
+        None => exp.cone_tt(c, cut)?,
+        // Under a ceiling the cone is built as a BDD, because a trip
+        // there is part of the verdict.
+        Some(_) => {
+            let mut cone_mgr = Manager::new();
+            cone_mgr.set_node_limit(bdd_limit);
+            let f = exp.cone_bdd(c, cut, &mut cone_mgr);
+            cone_mgr.check_budget()?;
+            TruthTable::from_bits(nvars, &cone_mgr.to_truth_table(f, u32::from(nvars))?)
+        }
+    };
     let key = SignatureKey {
-        nvars: cut.len() as u8,
-        tt: bits.clone(),
-        deltas,
+        nvars,
+        tt: tt.bits().to_vec(),
+        deltas: cut_deltas(exp, cut, phi, labels, height),
         k: k as u8,
         max_wires: max_wires as u8,
         bdd_limit,
@@ -225,18 +241,7 @@ pub(crate) fn resynthesize_cached(
             CachedOutcome::NodeLimit { nodes, limit } => Err(BddError::NodeLimit { nodes, limit }),
         };
     }
-    let mut mgr = Manager::new();
-    mgr.set_node_limit(bdd_limit);
-    let g = match mgr.from_truth_table(cut.len() as u32, &bits) {
-        Ok(g) => g,
-        Err(e) => {
-            if let BddError::NodeLimit { nodes, limit } = e {
-                cache.insert(key, CachedOutcome::NodeLimit { nodes, limit });
-            }
-            return Err(e);
-        }
-    };
-    match decompose_template(&mut mgr, g, cut.len(), &key.deltas, k, max_wires) {
+    match decompose_table(tt, &key.deltas, k, max_wires, bdd_limit) {
         Ok(Some(t)) => {
             let r = instantiate(&t, &srcs);
             cache.insert(key, CachedOutcome::Realized(t));
@@ -252,6 +257,33 @@ pub(crate) fn resynthesize_cached(
         }
         Err(e) => Err(e),
     }
+}
+
+/// Rejects encoder wire counts other than 1 and 2.
+fn check_wires(max_wires: usize) -> Result<(), BddError> {
+    if (1..=2).contains(&max_wires) {
+        Ok(())
+    } else {
+        Err(BddError::InvalidWireCount(max_wires))
+    }
+}
+
+/// Decomposes the cut function `tt` on truth tables, or with a
+/// `bdd_limit` on a fresh BDD manager seeded from it under that ceiling.
+fn decompose_table(
+    tt: TruthTable,
+    deltas: &[i64],
+    k: usize,
+    max_wires: usize,
+    bdd_limit: Option<usize>,
+) -> Result<Option<LutTemplate>, BddError> {
+    if bdd_limit.is_none() {
+        return decompose_template(&mut TtCut::new(tt), deltas, k, max_wires);
+    }
+    let mut mgr = Manager::new();
+    mgr.set_node_limit(bdd_limit);
+    let f = mgr.from_truth_table(u32::from(tt.nvars()), tt.bits())?;
+    decompose_template(&mut BddCut::new(mgr, f, deltas.len()), deltas, k, max_wires)
 }
 
 /// Per-cut-input criticality deltas `λ_i − height` (`λ_i = l(u_i) − φ·w_i`),
@@ -300,48 +332,247 @@ fn instantiate(template: &LutTemplate, srcs: &[LutInput]) -> Realization {
     }
 }
 
-/// The decomposition pipeline proper, in circuit-free form: `f` lives in
-/// `mgr` over variables `0..nvars` (variable `i` = cut input `i`), and
-/// `deltas[i]` is input `i`'s criticality relative to the target height
-/// (burial requires `delta <= −2`, feeding the root requires
-/// `delta <= −1`). Deterministic in `(f, deltas, k, max_wires)` alone:
-/// the stable criticality sort is keyed on deltas over the initial cut
-/// order, and every [`decompose`] verdict is canonical in the function.
-fn decompose_template(
-    mgr: &mut Manager,
+/// A cut function under decomposition, seen through the three operations
+/// the window search needs. Variables are numbered as in
+/// [`decompose_template`]: `0..nvars` are the cut inputs, and each
+/// extraction names its encoder outputs with fresh numbers above every
+/// variable used so far.
+trait CutFunction {
+    /// The variables the current function depends on.
+    fn support(&self) -> Vec<u32>;
+
+    /// Tries the disjoint decomposition `f = image(encoders(bound), free)`
+    /// with at most `wires` encoders; `bound` may name variables outside
+    /// the support, as [`decompose`] allows. On success the current function
+    /// becomes the image, and the encoders come back as
+    /// `(fresh variable, table whose input i is bound[i])`, encoder `j`
+    /// being bit `j` of the class code (classes numbered by first
+    /// appearance over the bound assignments, unused codes standing for
+    /// class 0). `Ok(None)` when the column multiplicity exceeds
+    /// `2^wires`.
+    fn try_extract(
+        &mut self,
+        bound: &[u32],
+        wires: usize,
+    ) -> Result<Option<Vec<(u32, TruthTable)>>, BddError>;
+
+    /// The current function as a table whose input `i` is `vars[i]`
+    /// (`vars` must cover the support).
+    fn dump(&self, vars: &[u32]) -> TruthTable;
+}
+
+/// The BDD backend: [`decompose`] on a manager that owns the function.
+struct BddCut {
+    mgr: Manager,
     f: Bdd,
-    nvars: usize,
+    next_var: u32,
+}
+
+impl BddCut {
+    /// `f` over variables `0..nvars`.
+    fn new(mgr: Manager, f: Bdd, nvars: usize) -> Self {
+        BddCut {
+            mgr,
+            f,
+            next_var: nvars as u32,
+        }
+    }
+}
+
+impl CutFunction for BddCut {
+    fn support(&self) -> Vec<u32> {
+        self.mgr.support(self.f)
+    }
+
+    fn try_extract(
+        &mut self,
+        bound: &[u32],
+        wires: usize,
+    ) -> Result<Option<Vec<(u32, TruthTable)>>, BddError> {
+        let Some(dec) = decompose(&mut self.mgr, self.f, bound, wires, self.next_var)? else {
+            return Ok(None);
+        };
+        debug_assert_eq!(recompose(&mut self.mgr, &dec), self.f);
+        let encoders = dec
+            .encoder_vars
+            .iter()
+            .zip(&dec.encoders)
+            .map(|(&var, &enc)| (var, bdd_to_tt(&self.mgr, enc, bound)))
+            .collect();
+        for &var in &dec.encoder_vars {
+            self.next_var = self.next_var.max(var + 1);
+        }
+        self.f = dec.image;
+        Ok(Some(encoders))
+    }
+
+    fn dump(&self, vars: &[u32]) -> TruthTable {
+        bdd_to_tt(&self.mgr, self.f, vars)
+    }
+}
+
+/// Dumps a BDD whose support is within `vars` as a truth table whose
+/// input `i` is `vars[i]`.
+fn bdd_to_tt(mgr: &Manager, f: Bdd, vars: &[u32]) -> TruthTable {
+    assert!(vars.len() <= 16, "LUT function over more than 16 inputs");
+    TruthTable::from_fn(vars.len() as u8, |i| {
+        let max_var = vars.iter().copied().max().unwrap_or(0) as usize;
+        let mut assign = vec![false; max_var + 1];
+        for (j, &v) in vars.iter().enumerate() {
+            assign[v as usize] = (i >> j) & 1 == 1;
+        }
+        mgr.eval(f, &assign)
+    })
+}
+
+/// The truth-table backend: `tt` over positions, position `p` holding
+/// variable `vars[p]`. `vars` is always exactly the support.
+#[derive(Clone)]
+struct TtCut {
+    tt: TruthTable,
+    vars: Vec<u32>,
+    next_var: u32,
+}
+
+impl TtCut {
+    /// `tt` with input `i` as variable `i`.
+    fn new(tt: TruthTable) -> Self {
+        let nvars = u32::from(tt.nvars());
+        let mut cut = TtCut {
+            tt,
+            vars: (0..nvars).collect(),
+            next_var: nvars,
+        };
+        cut.drop_dead();
+        cut
+    }
+
+    /// Removes every position outside the support.
+    fn drop_dead(&mut self) {
+        let mut p = 0;
+        while p < self.vars.len() {
+            if self.tt.depends_on(p as u8) {
+                p += 1;
+            } else {
+                self.tt.swap_vars(p as u8, (self.vars.len() - 1) as u8);
+                self.tt = self.tt.drop_top();
+                self.vars.swap_remove(p);
+            }
+        }
+    }
+
+    /// Positions of `vars`, adding an irrelevant top input for each one
+    /// outside the support.
+    fn positions(&mut self, vars: &[u32]) -> Vec<u8> {
+        vars.iter()
+            .map(|v| match self.vars.iter().position(|x| x == v) {
+                Some(p) => p as u8,
+                None => {
+                    self.tt = self.tt.add_top();
+                    self.vars.push(*v);
+                    (self.vars.len() - 1) as u8
+                }
+            })
+            .collect()
+    }
+}
+
+impl CutFunction for TtCut {
+    fn support(&self) -> Vec<u32> {
+        self.vars.clone()
+    }
+
+    fn try_extract(
+        &mut self,
+        bound: &[u32],
+        wires: usize,
+    ) -> Result<Option<Vec<(u32, TruthTable)>>, BddError> {
+        if wires == 0 || wires > 6 {
+            return Err(BddError::InvalidWireCount(wires));
+        }
+        validate_bound(bound)?;
+        // Bound set on top: column b is then the cofactor at the bound
+        // assignment whose bit j is the value of bound[j].
+        let mut moved = self.clone();
+        let pos = moved.positions(bound);
+        let perm = moved.tt.move_to_top(&pos);
+        let free = moved.tt.nvars() - bound.len() as u8;
+        let Some((class_of, reps)) = moved.tt.column_classes(free, 1 << wires) else {
+            return Ok(None);
+        };
+        let mu = reps.len();
+        let needed = (mu.next_power_of_two().trailing_zeros() as usize).max(1);
+        let encoders = (0..needed)
+            .map(|j| {
+                let enc = TruthTable::from_fn(bound.len() as u8, |b| {
+                    (class_of[b as usize] >> j) & 1 == 1
+                });
+                (self.next_var + j as u32, enc)
+            })
+            .collect();
+        let cols: Vec<usize> = (0..1usize << needed)
+            .map(|code| reps[if code < mu { code } else { 0 }])
+            .collect();
+        self.tt = moved.tt.concat_columns(free, &cols);
+        self.vars = perm[..usize::from(free)]
+            .iter()
+            .map(|&p| moved.vars[usize::from(p)])
+            .chain(self.next_var..self.next_var + needed as u32)
+            .collect();
+        self.next_var += needed as u32;
+        self.drop_dead();
+        Ok(Some(encoders))
+    }
+
+    fn dump(&self, vars: &[u32]) -> TruthTable {
+        let mut out = self.clone();
+        let pos = out.positions(vars);
+        assert_eq!(out.vars.len(), vars.len(), "dump omits a support variable");
+        out.tt.move_to_top(&pos);
+        out.tt
+    }
+}
+
+/// The decomposition pipeline proper, in circuit-free form: `cut` starts
+/// as a function of variables `0..deltas.len()` (variable `i` = cut input
+/// `i`), and `deltas[i]` is input `i`'s criticality relative to the
+/// target height (burial requires `delta <= −2`, feeding the root
+/// requires `delta <= −1`). Deterministic in `(f, deltas, k, max_wires)`
+/// alone: the stable criticality sort is keyed on deltas over the initial
+/// cut order, and every extraction verdict is canonical in the function,
+/// whichever [`CutFunction`] backend computes it.
+fn decompose_template(
+    cut: &mut impl CutFunction,
     deltas: &[i64],
     k: usize,
     max_wires: usize,
 ) -> Result<Option<LutTemplate>, BddError> {
-    // Current root inputs: (BDD variable, criticality delta, source).
+    // Current root inputs: (variable, criticality delta, source).
     struct Sig {
         var: u32,
         delta: i64,
         src: TemplateInput,
     }
-    let mut sigs: Vec<Sig> = (0..nvars)
-        .map(|i| Sig {
+    let mut sigs: Vec<Sig> = deltas
+        .iter()
+        .enumerate()
+        .map(|(i, &delta)| Sig {
             var: i as u32,
-            delta: deltas[i],
+            delta,
             src: TemplateInput::Cut(i),
         })
         .collect();
 
     // Drop inputs outside the support immediately.
-    let support = mgr.support(f);
+    let support = cut.support();
     sigs.retain(|s| support.contains(&s.var));
     if sigs.iter().any(|s| s.delta > -1) {
         return Ok(None); // a critical input cannot even feed the root directly
     }
 
-    let mut next_var = nvars as u32;
     let mut luts: Vec<TemplateLut> = Vec::new();
-    let mut current = f;
-
     loop {
-        let live = mgr.support(current);
+        let live = cut.support();
         sigs.retain(|s| live.contains(&s.var));
         if sigs.len() <= k {
             break; // root LUT fits
@@ -363,25 +594,24 @@ fn decompose_template(
         'outer: for wires in 1..=max_wires {
             for size in ((wires + 1)..=k.min(buriable)).rev() {
                 for start in 0..=(buriable - size) {
-                    let bound: Vec<u32> = sigs[start..start + size].iter().map(|s| s.var).collect();
-                    let dec = match decompose(mgr, current, &bound, wires, next_var) {
-                        Ok(Some(dec)) => dec,
-                        Ok(None) => continue, // multiplicity too high for `wires`
-                        Err(e) => return Err(e), // budget (or argument) failure
+                    let window = start..start + size;
+                    let bound: Vec<u32> = sigs[window.clone()].iter().map(|s| s.var).collect();
+                    // `None`: multiplicity too high for `wires`; errors
+                    // (budget, oversized bound set) end the search.
+                    let Some(encoders) = cut.try_extract(&bound, wires)? else {
+                        continue;
                     };
-                    debug_assert_eq!(recompose(mgr, &dec), current);
                     // New signals sit one LUT level above their worst member.
-                    let delta = sigs[start..start + size]
+                    let delta = sigs[window.clone()]
                         .iter()
                         .map(|s| s.delta)
                         .max()
                         .expect("non-empty bound set")
                         + 1;
                     let enc_inputs: Vec<TemplateInput> =
-                        sigs[start..start + size].iter().map(|s| s.src).collect();
+                        sigs[window.clone()].iter().map(|s| s.src).collect();
                     let mut new_sigs = Vec::new();
-                    for (&enc, &var) in dec.encoders.iter().zip(&dec.encoder_vars) {
-                        let enc_tt = bdd_to_tt(mgr, enc, &bound);
+                    for (var, enc_tt) in encoders {
                         let lut_idx = luts.len();
                         luts.push(TemplateLut {
                             nvars: enc_tt.nvars(),
@@ -393,12 +623,10 @@ fn decompose_template(
                             delta,
                             src: TemplateInput::Lut(lut_idx),
                         });
-                        next_var = next_var.max(var + 1);
                     }
                     // Replace the buried inputs by the encoder outputs.
-                    sigs.drain(start..start + size);
+                    sigs.drain(window);
                     sigs.extend(new_sigs);
-                    current = dec.image;
                     extracted = true;
                     break 'outer;
                 }
@@ -414,7 +642,7 @@ fn decompose_template(
         return Ok(None);
     }
     let root_vars: Vec<u32> = sigs.iter().map(|s| s.var).collect();
-    let root_tt = bdd_to_tt(mgr, current, &root_vars);
+    let root_tt = cut.dump(&root_vars);
     let root_inputs: Vec<TemplateInput> = sigs.iter().map(|s| s.src).collect();
     let root = luts.len();
     luts.push(TemplateLut {
@@ -424,20 +652,6 @@ fn decompose_template(
     });
     debug_assert!(luts.iter().all(|l| l.inputs.len() <= k));
     Ok(Some(LutTemplate { luts, root }))
-}
-
-/// Dumps a BDD whose support is within `vars` as a truth table whose
-/// input `i` is `vars[i]`.
-fn bdd_to_tt(mgr: &Manager, f: Bdd, vars: &[u32]) -> TruthTable {
-    assert!(vars.len() <= 16, "LUT function over more than 16 inputs");
-    TruthTable::from_fn(vars.len() as u8, |i| {
-        let max_var = vars.iter().copied().max().unwrap_or(0) as usize;
-        let mut assign = vec![false; max_var + 1];
-        for (j, &v) in vars.iter().enumerate() {
-            assign[v as usize] = (i >> j) & 1 == 1;
-        }
-        mgr.eval(f, &assign)
-    })
 }
 
 /// Evaluates a realization on concrete input values (keyed by
@@ -474,6 +688,8 @@ pub fn eval_realization(r: &Realization, value_of: &dyn Fn(usize, i64) -> bool) 
 mod tests {
     use super::*;
     use crate::expand::ExpandLimits;
+    use turbosyn_bdd::decompose::MAX_BOUND;
+    use turbosyn_graph::rng::StdRng;
     use turbosyn_netlist::circuit::Fanin;
     use turbosyn_netlist::gen;
     use turbosyn_netlist::NodeKind;
@@ -571,6 +787,187 @@ mod tests {
             .expect("AND decomposes");
         assert!(real.luts.iter().all(|l| l.inputs.len() <= 4));
         assert!(real.lut_count() >= 3);
+    }
+
+    /// Encoder wire counts other than 1 and 2 are a typed error, not a
+    /// panic, on both the plain and the cached entry point.
+    #[test]
+    fn unsupported_wire_count_is_an_error() {
+        let c = gen::figure1();
+        let labels: Vec<i64> = unit_labels(&c).iter().map(|&l| l * 2).collect();
+        let root = c.find("g1").expect("exists").index();
+        let exp =
+            Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
+        let cut = exp.min_cut(15).expect("wide cut exists");
+        for wires in [0, 3] {
+            let r = resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, wires, None);
+            assert_eq!(r.unwrap_err(), BddError::InvalidWireCount(wires));
+            let cache = DecompCache::new();
+            let r = resynthesize_cached(&exp, &c, &cut, 1, &labels, 2, 5, wires, None, &cache);
+            assert_eq!(r.unwrap_err(), BddError::InvalidWireCount(wires));
+        }
+    }
+
+    fn bdd_cut(tt: &TruthTable) -> BddCut {
+        let mut mgr = Manager::new();
+        let f = mgr
+            .from_truth_table(u32::from(tt.nvars()), tt.bits())
+            .expect("at most 16 inputs");
+        BddCut::new(mgr, f, usize::from(tt.nvars()))
+    }
+
+    /// A random cut-function-shaped table: a random tree of 2- and
+    /// 3-input gates that reduces the `n` inputs to one signal, with some
+    /// fanins reused (reconvergence), so decompositions exist but are not
+    /// guaranteed. With `dense`, a uniformly random table instead.
+    fn random_function(rng: &mut StdRng, n: u8, dense: bool) -> TruthTable {
+        if dense {
+            let words: Vec<u64> = (0..(1usize << n).div_ceil(64))
+                .map(|_| rng.random())
+                .collect();
+            return TruthTable::from_bits(n, &words);
+        }
+        let mut pool: Vec<TruthTable> = (0..n).map(|v| TruthTable::lit(n, v)).collect();
+        while pool.len() > 1 {
+            let arity = rng.random_range(2usize..4).min(pool.len());
+            let gate = loop {
+                let g = TruthTable::from_bits(arity as u8, &[rng.random()]);
+                if g.support().len() == arity {
+                    break g;
+                }
+            };
+            let mut fanins = Vec::new();
+            for _ in 0..arity {
+                let i = rng.random_range(0..pool.len());
+                if rng.random_range(0u32..5) == 0 {
+                    fanins.push(pool[i].clone());
+                } else {
+                    fanins.push(pool.swap_remove(i));
+                }
+            }
+            let refs: Vec<&TruthTable> = fanins.iter().collect();
+            pool.push(gate.compose(n, &refs));
+        }
+        pool.pop().expect("non-empty")
+    }
+
+    /// Kernel differential: on random functions and bound sets (some
+    /// outside the support, so μ = 1 occurs), one extraction and the
+    /// function it leaves are identical on truth tables and BDDs.
+    #[test]
+    fn truth_table_extraction_matches_bdd() {
+        let mut rng = StdRng::seed_from_u64(0xdec0);
+        let (mut extracted, mut trivial) = (0, 0);
+        for case in 0..300 {
+            let n = rng.random_range(6u8..12);
+            let mut f = random_function(&mut rng, n, case % 5 == 0);
+            // Drop a few inputs from the support.
+            for v in 0..n {
+                if rng.random_range(0u32..6) == 0 {
+                    f = f.cofactor(v, rng.random());
+                }
+            }
+            let mut tt = TtCut::new(f.clone());
+            let mut bdd = bdd_cut(&f);
+            for _ in 0..2 {
+                let mut sup = bdd.support();
+                assert_eq!(sorted(tt.support()), sup);
+                let all: Vec<u32> = (0..bdd.next_var).collect();
+                let size = rng.random_range(1..all.len().min(MAX_BOUND + 1) + 1);
+                let mut pool = all.clone();
+                let bound: Vec<u32> = (0..size)
+                    .map(|_| pool.swap_remove(rng.random_range(0..pool.len())))
+                    .collect();
+                if bound.len() + sup.len() > 16 {
+                    break; // the dummy inputs would not fit a table
+                }
+                let wires = rng.random_range(1usize..3);
+                let got = tt.try_extract(&bound, wires);
+                let want = bdd.try_extract(&bound, wires);
+                assert_eq!(got, want, "case {case}: bound {bound:?}, {wires} wires");
+                match want {
+                    Ok(Some(encoders)) => {
+                        extracted += 1;
+                        if encoders.iter().all(|(_, e)| e.is_constant() == Some(false)) {
+                            trivial += 1; // μ = 1: one constant-0 encoder
+                            assert_eq!(encoders.len(), 1);
+                        }
+                    }
+                    _ => break,
+                }
+                sup = bdd.support();
+                assert_eq!(sorted(tt.support()), sup);
+                assert_eq!(tt.dump(&sup), bdd.dump(&sup), "case {case}: image");
+                let mut rev = sup.clone();
+                rev.reverse();
+                assert_eq!(tt.dump(&rev), bdd.dump(&rev), "case {case}: reversed image");
+            }
+        }
+        assert!(extracted > 100, "only {extracted} extractions");
+        assert!(trivial > 0, "no μ = 1 extraction");
+    }
+
+    fn sorted(mut v: Vec<u32>) -> Vec<u32> {
+        v.sort_unstable();
+        v
+    }
+
+    /// Template differential: the window search gives byte-identical
+    /// templates — and identical errors — on both backends, over random
+    /// cut functions of 6–16 inputs, deltas in −4..=0, K ∈ {4, 5, 6, 13}
+    /// and 1 or 2 wires, plus constants and the K = 13 oversized window.
+    #[test]
+    fn truth_table_templates_match_bdd() {
+        let mut rng = StdRng::seed_from_u64(0x7e3f);
+        let mut outcomes = [0usize; 4]; // realized (1 LUT, more), none, error
+        let check = |f: &TruthTable, deltas: &[i64], k: usize, wires: usize| {
+            let got = decompose_template(&mut TtCut::new(f.clone()), deltas, k, wires);
+            let want = decompose_template(&mut bdd_cut(f), deltas, k, wires);
+            assert_eq!(got, want, "{f:?} deltas {deltas:?} k {k} wires {wires}");
+            want
+        };
+        for case in 0..400 {
+            let n = rng.random_range(6u8..17);
+            let f = random_function(&mut rng, n, case % 7 == 0 && n <= 10);
+            // Mostly buriable inputs; now and then a critical one.
+            let deltas: Vec<i64> = (0..n)
+                .map(|_| {
+                    if rng.random_range(0u32..12) == 0 {
+                        rng.random_range(-1i64..1)
+                    } else {
+                        rng.random_range(-4i64..-1)
+                    }
+                })
+                .collect();
+            let k = [4, 5, 6, 13][rng.random_range(0usize..4)];
+            let wires = rng.random_range(1usize..3);
+            let slot = match check(&f, &deltas, k, wires) {
+                Ok(Some(t)) if t.luts.len() == 1 => 0,
+                Ok(Some(_)) => 1,
+                Ok(None) => 2,
+                Err(_) => 3,
+            };
+            outcomes[slot] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&o| o > 0),
+            "every outcome occurs: {outcomes:?}"
+        );
+        // Constants, with and without inputs.
+        for n in [0u8, 6, 16] {
+            for value in [false, true] {
+                let f = TruthTable::constant(n, value);
+                let t = check(&f, &vec![-3; usize::from(n)], 4, 1).expect("no error");
+                assert_eq!(t.expect("constant fits").luts.len(), 1);
+            }
+        }
+        // K = 13 with 16 buriable inputs: the first window has 13 > MAX_BOUND
+        // members, which is an error on both backends.
+        let parity = TruthTable::from_fn(16, |i| i.count_ones() % 2 == 1);
+        assert!(matches!(
+            check(&parity, &[-2; 16], 13, 1),
+            Err(BddError::InvalidBoundSet(_))
+        ));
     }
 
     /// A starved BDD ceiling surfaces as `Err(NodeLimit)` — the mappers

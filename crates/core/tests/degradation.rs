@@ -4,10 +4,10 @@
 
 use std::time::Duration;
 use turbosyn::{
-    turbomap, turbosyn, verify_mapping, Budget, CancelToken, DegradeEvent, MapOptions,
-    SynthesisError,
+    report_to_json, turbomap, turbosyn, verify_mapping, Budget, CancelToken, DegradeEvent,
+    MapOptions, SynthesisError,
 };
-use turbosyn_netlist::gen;
+use turbosyn_netlist::{blif, gen, Circuit};
 
 #[test]
 fn bdd_ceiling_degrades_but_stays_verified() {
@@ -79,10 +79,42 @@ fn zero_deadline_is_budget_exceeded() {
     );
 }
 
+/// A budget that never trips, including a BDD-node ceiling of
+/// `usize::MAX`.
+fn generous() -> MapOptions {
+    MapOptions {
+        budget: Budget::default()
+            .with_deadline(Duration::from_secs(600))
+            .with_max_work(u64::MAX)
+            .with_max_bdd_nodes(usize::MAX)
+            .with_cancel(CancelToken::new()),
+        ..MapOptions::default()
+    }
+}
+
+/// Maps `c` with TurboSYN unbudgeted and under [`generous`], and checks
+/// that the report bytes and the final netlist are identical. Setting a
+/// node ceiling moves sequential decomposition from truth tables to BDDs,
+/// so this compares the two backends end to end.
+fn assert_generous_budget_changes_nothing(name: &str, c: &Circuit) {
+    let free = turbosyn(c, &MapOptions::default()).expect("maps");
+    let governed = turbosyn(c, &generous()).expect("maps governed");
+    assert!(governed.degradation.is_none(), "{name}");
+    assert_eq!(
+        report_to_json(&governed).write(),
+        report_to_json(&free).write(),
+        "{name}: report"
+    );
+    assert_eq!(
+        blif::write(&governed.final_circuit),
+        blif::write(&free.final_circuit),
+        "{name}: final circuit"
+    );
+}
+
 #[test]
 fn generous_budget_changes_nothing() {
-    // A budget that never trips must be decision-identical to no budget:
-    // same φ, same LUT count, no degradation report.
+    // A budget that never trips must be decision-identical to no budget.
     let c = gen::fsm(gen::FsmConfig {
         state_bits: 3,
         inputs: 2,
@@ -90,19 +122,23 @@ fn generous_budget_changes_nothing() {
         depth: 3,
         seed: 9,
     });
-    let free = turbosyn(&c, &MapOptions::default()).expect("maps");
-    let opts = MapOptions {
-        budget: Budget::default()
-            .with_deadline(Duration::from_secs(600))
-            .with_max_work(u64::MAX)
-            .with_max_bdd_nodes(usize::MAX)
-            .with_cancel(CancelToken::new()),
-        ..MapOptions::default()
-    };
-    let governed = turbosyn(&c, &opts).expect("maps governed");
-    assert_eq!(governed.phi, free.phi);
-    assert_eq!(governed.lut_count, free.lut_count);
-    assert!(governed.degradation.is_none());
+    assert_generous_budget_changes_nothing("fsm seed 9", &c);
+    for b in gen::suite() {
+        if ["kirkman", "dk16", "s420"].contains(&b.name) {
+            assert_generous_budget_changes_nothing(b.name, &b.circuit);
+        }
+    }
+}
+
+/// The same check over every suite row, s5378 included. Run it in a
+/// release build: `cargo test --release -p turbosyn --test degradation
+/// -- --ignored generous_budget_changes_nothing_on_the_suite`.
+#[test]
+#[ignore = "release-only: maps the whole suite twice with TurboSYN"]
+fn generous_budget_changes_nothing_on_the_suite() {
+    for b in gen::suite() {
+        assert_generous_budget_changes_nothing(b.name, &b.circuit);
+    }
 }
 
 #[test]

@@ -84,6 +84,13 @@ fn cuts_respect_height() {
             // The cone function is well defined (the cut separates).
             let tt = exp.cone_tt(&c, &cut).expect("cut fits in a truth table");
             assert_eq!(tt.nvars() as usize, cut.len());
+            // The truth-table cone equals the BDD cone.
+            let mut m = turbosyn_bdd::Manager::new();
+            let f = exp.cone_bdd(&c, &cut, &mut m);
+            let bits = m
+                .to_truth_table(f, cut.len() as u32)
+                .expect("cut fits in a truth table");
+            assert_eq!(tt.bits(), &bits[..]);
         }
     }
 }
@@ -127,4 +134,36 @@ fn phi_monotonicity() {
             prev_feasible = prev_feasible || out.is_feasible();
         }
     }
+}
+
+/// The truth-table cone of a wide cut equals the BDD cone, on suite rows
+/// whose gates reconverge (cuts up to the 16-input table limit).
+#[test]
+fn cone_tables_match_bdd_cones_on_suite_rows() {
+    let mut checked = 0;
+    for b in gen::suite()
+        .into_iter()
+        .filter(|b| ["bbara", "cse", "s420"].contains(&b.name))
+    {
+        let c = &b.circuit;
+        let labels: Vec<i64> = unit_labels(c).iter().map(|&l| 3 * l).collect();
+        for root in c.gates().take(40) {
+            let Ok(exp) = Expansion::build(c, root.index(), 1, &labels, 3, ExpandLimits::default())
+            else {
+                continue;
+            };
+            let Some(cut) = exp.min_cut(16) else {
+                continue;
+            };
+            let tt = exp.cone_tt(c, &cut).expect("cut fits in a truth table");
+            let mut m = turbosyn_bdd::Manager::new();
+            let f = exp.cone_bdd(c, &cut, &mut m);
+            let bits = m
+                .to_truth_table(f, cut.len() as u32)
+                .expect("cut fits in a truth table");
+            assert_eq!(tt.bits(), &bits[..], "{} root {root:?}", b.name);
+            checked += usize::from(cut.len() > 6);
+        }
+    }
+    assert!(checked > 10, "only {checked} multi-word cones checked");
 }
