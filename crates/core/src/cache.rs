@@ -24,16 +24,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use turbosyn_bdd::cache::DecompCache;
-use turbosyn_graph::maxflow::FlowArena;
+use turbosyn_graph::maxflow::CutScratch;
 use turbosyn_netlist::{Circuit, NodeKind};
 
 /// Per-worker scratch space: each worker of the parallel label sweep
-/// owns one (`&mut` access, never shared), so flow-network buffers are
-/// reused across the worker's min-cut calls without synchronization.
+/// owns one (`&mut` access, never shared), so the cut kernel's buffers
+/// are reused across the worker's cut tests without synchronization.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// Reusable Dinic buffers for min-vertex-cut computations.
-    pub arena: FlowArena,
+    /// Reusable buffers of the unit-capacity cut kernel: the fanout CSR,
+    /// edge flows, search marks, predecessors and queue.
+    pub cut: CutScratch,
 }
 
 /// One cached expansion skeleton plus its memoized min-cuts.
@@ -69,7 +70,7 @@ impl CachedExp {
         if let Some((_, cut)) = cuts.iter().find(|(l, _)| *l == limit) {
             return cut.clone();
         }
-        let cut = self.exp.min_cut_in(limit, &mut scratch.arena);
+        let cut = self.exp.min_cut_in(limit, &mut scratch.cut);
         cuts.push((limit, cut.clone()));
         cut
     }

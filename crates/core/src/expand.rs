@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use turbosyn_bdd::{Bdd, BddError, Manager};
+use turbosyn_graph::maxflow::{unit_vertex_cut, CutScratch, Role, VertexCut};
 use turbosyn_netlist::tt::{TruthTable, MAX_VARS};
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
 
@@ -194,40 +195,24 @@ impl Expansion {
     ///
     /// Returns `None` when every cut exceeds `limit`.
     pub fn min_cut(&self, limit: usize) -> Option<Vec<usize>> {
-        let mut arena = turbosyn_graph::maxflow::FlowArena::new();
-        self.min_cut_in(limit, &mut arena)
+        self.min_cut_in(limit, &mut CutScratch::new())
     }
 
-    /// [`Expansion::min_cut`] computing inside a caller-provided
-    /// [`FlowArena`](turbosyn_graph::maxflow::FlowArena), so repeated
-    /// cut computations (one per label candidate per sweep) reuse flow
-    /// buffers instead of reallocating.
-    pub fn min_cut_in(
-        &self,
-        limit: usize,
-        arena: &mut turbosyn_graph::maxflow::FlowArena,
-    ) -> Option<Vec<usize>> {
-        use turbosyn_graph::maxflow::VertexCut;
-        let n = self.nodes.len();
-        // Graph: exp nodes 0..n, synthetic source n.
-        let mut g = turbosyn_graph::Digraph::new(n + 1);
-        for (xi, fan) in self.fanins.iter().enumerate() {
-            for &ci in fan {
-                g.add_edge(ci, xi, 0);
-            }
-        }
-        for xi in 0..n {
-            if !self.expanded[xi] {
-                g.add_edge(n, xi, 0);
-            }
-        }
-        let mut cap = vec![1u32; n + 1];
-        for (xi, c) in cap.iter_mut().enumerate().take(n) {
-            if self.must_inside[xi] {
-                *c = u32::MAX;
-            }
-        }
-        match arena.min_vertex_cut(&g, &[n], &[0], &cap, limit as u32) {
+    /// [`Expansion::min_cut`] computing in caller-provided buffers, so
+    /// repeated cut tests (one per label candidate per sweep) allocate
+    /// nothing but the returned cut.
+    ///
+    /// The test runs [`unit_vertex_cut`] straight on [`Expansion::fanins`]:
+    /// the unexpanded leaves are fed by the source, the root is the sink,
+    /// and the must-inside nodes are uncuttable. The cut is the minimum
+    /// cut closest to the leaves, in ascending node order.
+    pub fn min_cut_in(&self, limit: usize, scratch: &mut CutScratch) -> Option<Vec<usize>> {
+        let role = |xi: usize| Role {
+            uncuttable: self.must_inside[xi],
+            source: !self.expanded[xi],
+            sink: xi == 0,
+        };
+        match unit_vertex_cut(&self.fanins, role, limit, scratch) {
             VertexCut::Cut(cut) => Some(cut),
             VertexCut::ExceedsLimit => None,
         }

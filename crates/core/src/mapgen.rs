@@ -53,7 +53,7 @@ pub(crate) fn realize(
 ) -> Result<Realization, MapGenError> {
     let h = labels[v];
     if let Ok(exp) = Expansion::build(c, v, opts.phi, labels, h, opts.expand) {
-        if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.arena) {
+        if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.cut) {
             return Ok(Realization::from_cut(&exp, c, &cut));
         }
     } else {
@@ -82,7 +82,7 @@ pub(crate) fn realize(
     let exp = Expansion::build(c, v, opts.phi, labels, h + 1, opts.expand)
         .map_err(|ExpandFail::PiMustBeInside| MapGenError::Unrealizable { node: v })?;
     let cut = exp
-        .min_cut_in(opts.k, &mut scratch.arena)
+        .min_cut_in(opts.k, &mut scratch.cut)
         .ok_or(MapGenError::Unrealizable { node: v })?;
     Ok(Realization::from_cut(&exp, c, &cut))
 }
@@ -213,7 +213,7 @@ pub(crate) fn generate_mapping_with(
                 let Ok(exp) = Expansion::build(c, v, opts.phi, &eff, h, opts.expand) else {
                     break;
                 };
-                if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.arena) {
+                if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.cut) {
                     // The relaxed cut must not need any *new* gates (their
                     // realizations would not have been budget-checked);
                     // all inputs must already be realized or PIs.

@@ -18,8 +18,9 @@
 //! * [`cycle_ratio`] — exact maximum delay-to-register (MDR) ratio of a
 //!   cyclic graph, the quantity the whole paper minimizes
 //!   (Papaefthymiou, *Mathematical Systems Theory* 1994).
-//! * [`maxflow`] — max-flow / min-cut with unit vertex capacities, the
-//!   FlowMap-style K-feasible-cut engine.
+//! * [`maxflow`] — minimum vertex cuts with unit vertex capacities, the
+//!   FlowMap-style K-feasible-cut engine: at most K+1 unit augmenting
+//!   paths on an implicit node-split residual graph, in reusable buffers.
 //! * [`mincost`] — min-cost flow (successive shortest paths), the solver
 //!   behind exact minimum-register retiming.
 //! * [`reach`] — multi-source reachability used by positive-loop detection

@@ -1,443 +1,383 @@
-//! Max-flow / min-cut with early termination, plus minimum vertex cuts.
+//! Minimum vertex cuts with unit vertex capacities and early termination.
 //!
-//! The FlowMap family of mappers decides *"is there a K-feasible cut?"* by
-//! computing a maximum flow in a node-split network and stopping as soon as
-//! the flow exceeds `K` — the exact value of a larger flow is never needed.
-//! [`FlowNetwork`] is a Dinic implementation with that early-exit, and
-//! [`min_vertex_cut`] wraps the standard node-splitting construction used
-//! on expanded circuits.
+//! The FlowMap family of mappers decides *"is there a K-feasible cut?"*
+//! with a maximum flow in the node-split network of the expanded circuit,
+//! stopping as soon as the flow exceeds `K` — the exact value of a larger
+//! flow is never needed. Every cuttable vertex has capacity 1 and every
+//! other vertex and edge is uncapacitated, so the flow is at most `K + 1`
+//! unit augmenting paths.
+//!
+//! [`unit_vertex_cut`] runs those augmentations on the *implicit*
+//! node-split residual graph of a fanin-list graph: vertex `v` has the
+//! states `v_in` and `v_out`, a cuttable vertex carries one `through` bit
+//! (its unit of capacity) and each edge a flow count. All buffers live in
+//! a reusable [`CutScratch`]. [`min_vertex_cut`] is the same cut on a
+//! [`Digraph`].
 
 use crate::Digraph;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-const INF: u32 = u32::MAX / 2;
-
-/// A stop flag that never fires, used by the uninterruptible entry points
-/// to share one code path with the `_interruptible` variants.
-static NEVER: AtomicBool = AtomicBool::new(false);
-
-#[derive(Debug, Clone)]
-struct Arc {
-    to: u32,
-    cap: u32,
-    /// Index of the reverse arc in `arcs`.
-    rev: u32,
-}
-
-/// A flow network over nodes `0..n` supporting early-terminated max-flow.
-///
-/// # Example
-///
-/// ```
-/// use turbosyn_graph::maxflow::FlowNetwork;
-///
-/// let mut net = FlowNetwork::new(4);
-/// net.add_arc(0, 1, 1);
-/// net.add_arc(0, 2, 1);
-/// net.add_arc(1, 3, 1);
-/// net.add_arc(2, 3, 1);
-/// assert_eq!(net.max_flow(0, 3, 10), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlowNetwork {
-    adj: Vec<Vec<u32>>,
-    arcs: Vec<Arc>,
-    level: Vec<i32>,
-    iter: Vec<usize>,
-}
-
-impl FlowNetwork {
-    /// Creates an empty network with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        FlowNetwork {
-            adj: vec![Vec::new(); n],
-            arcs: Vec::new(),
-            level: vec![-1; n],
-            iter: vec![0; n],
-        }
-    }
-
-    /// Clears the network back to `n` isolated nodes while keeping the
-    /// backing allocations, so a long-lived network (see [`FlowArena`])
-    /// can be reused across many flow computations without reallocating
-    /// its adjacency and arc buffers each time.
-    pub fn reset(&mut self, n: usize) {
-        for a in &mut self.adj {
-            a.clear();
-        }
-        if self.adj.len() > n {
-            self.adj.truncate(n);
-        } else {
-            self.adj.resize_with(n, Vec::new);
-        }
-        self.arcs.clear();
-        self.level.clear();
-        self.level.resize(n, -1);
-        self.iter.clear();
-        self.iter.resize(n, 0);
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Adds a node, returning its id.
-    pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.level.push(-1);
-        self.iter.push(0);
-        self.adj.len() - 1
-    }
-
-    /// Adds a directed arc with the given capacity (and an implicit
-    /// zero-capacity reverse arc).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn add_arc(&mut self, from: usize, to: usize, cap: u32) {
-        assert!(
-            from < self.adj.len() && to < self.adj.len(),
-            "arc endpoint out of range"
-        );
-        let a = self.arcs.len() as u32;
-        self.arcs.push(Arc {
-            to: to as u32,
-            cap,
-            rev: a + 1,
-        });
-        self.arcs.push(Arc {
-            to: from as u32,
-            cap: 0,
-            rev: a,
-        });
-        self.adj[from].push(a);
-        self.adj[to].push(a + 1);
-    }
-
-    /// Computes the maximum flow from `s` to `t`, stopping early once the
-    /// flow exceeds `limit`. The return value is `min(true max flow,
-    /// some value > limit)` — i.e. a result `<= limit` is the exact max
-    /// flow, while a result `> limit` only certifies that the max flow
-    /// exceeds `limit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s == t` or either is out of range.
-    pub fn max_flow(&mut self, s: usize, t: usize, limit: u32) -> u32 {
-        self.max_flow_interruptible(s, t, limit, &NEVER)
-            .expect("a never-set stop flag cannot interrupt")
-    }
-
-    /// [`FlowNetwork::max_flow`] with a cooperative stop flag, polled once
-    /// per Dinic BFS phase (so cancellation latency is one phase, not one
-    /// whole flow computation). Returns `None` if the flag was observed
-    /// set; the network is then mid-computation and should be discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s == t` or either is out of range.
-    pub fn max_flow_interruptible(
-        &mut self,
-        s: usize,
-        t: usize,
-        limit: u32,
-        stop: &AtomicBool,
-    ) -> Option<u32> {
-        assert!(
-            s < self.adj.len() && t < self.adj.len(),
-            "terminal out of range"
-        );
-        assert_ne!(s, t, "source and sink must differ");
-        let mut flow = 0u32;
-        while flow <= limit {
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            if !self.bfs(s, t) {
-                break;
-            }
-            self.iter.iter_mut().for_each(|i| *i = 0);
-            loop {
-                let f = self.dfs(s, t, INF);
-                if f == 0 {
-                    break;
-                }
-                flow += f;
-                if flow > limit {
-                    return Some(flow);
-                }
-            }
-        }
-        Some(flow)
-    }
-
-    fn bfs(&mut self, s: usize, t: usize) -> bool {
-        self.level.iter_mut().for_each(|l| *l = -1);
-        let mut q = std::collections::VecDeque::new();
-        self.level[s] = 0;
-        q.push_back(s);
-        while let Some(v) = q.pop_front() {
-            for &ai in &self.adj[v] {
-                let a = &self.arcs[ai as usize];
-                let to = a.to as usize;
-                if a.cap > 0 && self.level[to] < 0 {
-                    self.level[to] = self.level[v] + 1;
-                    q.push_back(to);
-                }
-            }
-        }
-        self.level[t] >= 0
-    }
-
-    fn dfs(&mut self, v: usize, t: usize, up_to: u32) -> u32 {
-        if v == t {
-            return up_to;
-        }
-        while self.iter[v] < self.adj[v].len() {
-            let ai = self.adj[v][self.iter[v]] as usize;
-            let (to, cap) = (self.arcs[ai].to as usize, self.arcs[ai].cap);
-            if cap > 0 && self.level[v] < self.level[to] {
-                let d = self.dfs(to, t, up_to.min(cap));
-                if d > 0 {
-                    self.arcs[ai].cap -= d;
-                    let rev = self.arcs[ai].rev as usize;
-                    self.arcs[rev].cap += d;
-                    return d;
-                }
-            }
-            self.iter[v] += 1;
-        }
-        0
-    }
-
-    /// After [`FlowNetwork::max_flow`] returned a value `<= limit` (a true
-    /// max flow), returns the source side of a minimum cut: `side[v]` is
-    /// true iff `v` is reachable from `s` in the residual network.
-    pub fn min_cut_source_side(&self, s: usize) -> Vec<bool> {
-        let mut side = vec![false; self.adj.len()];
-        let mut q = std::collections::VecDeque::new();
-        side[s] = true;
-        q.push_back(s);
-        while let Some(v) = q.pop_front() {
-            for &ai in &self.adj[v] {
-                let a = &self.arcs[ai as usize];
-                let to = a.to as usize;
-                if a.cap > 0 && !side[to] {
-                    side[to] = true;
-                    q.push_back(to);
-                }
-            }
-        }
-        side
-    }
-}
-
-/// Result of [`min_vertex_cut`].
+/// Result of a minimum vertex cut computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VertexCut {
     /// A cut within the limit was found; the payload lists the cut
-    /// vertices (each had finite capacity, and removing them disconnects
-    /// the sources from the sinks).
+    /// vertices in ascending order (each is cuttable, and removing them
+    /// disconnects the sources from the sinks).
     Cut(Vec<usize>),
     /// Every vertex cut is larger than the limit.
     ExceedsLimit,
 }
 
-/// Computes a minimum **vertex** cut separating `sources` from `sinks` in
-/// `g`, where vertex `v` may be cut at cost `cap[v]` (`u32::MAX` means
-/// uncuttable). Stops early and returns [`VertexCut::ExceedsLimit`] when
-/// every cut costs more than `limit`.
+/// How a vertex takes part in a [`unit_vertex_cut`] problem.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Role {
+    /// The vertex may not be cut (infinite capacity).
+    pub uncuttable: bool,
+    /// The super-source feeds the vertex.
+    pub source: bool,
+    /// The vertex feeds the super-sink. A sink is uncuttable whatever
+    /// `uncuttable` says.
+    pub sink: bool,
+}
+
+/// `flag` bit: the vertex is uncuttable, so `v_in` and `v_out` are one
+/// state of the residual graph.
+const FIXED: u8 = 1;
+/// `flag` bit: the vertex feeds the super-sink.
+const SINK: u8 = 2;
+/// `pred` marker: no predecessor (a source's `v_in`), or the arc between
+/// a vertex's own `v_in` and `v_out`.
+const NONE: u32 = u32::MAX;
+
+/// Reusable buffers of [`unit_vertex_cut`].
 ///
-/// Uses the standard node-splitting reduction: each vertex `v` becomes
-/// `v_in -> v_out` with capacity `cap[v]`; edges of `g` get infinite
-/// capacity. Source vertices feed from a super-source at infinite capacity
-/// (their own capacity is ignored), and sink vertices feed a super-sink.
+/// A label sweep solves one cut per candidate; the graphs differ every
+/// time but their sizes recur, so a long-lived scratch makes every
+/// buffer allocation-free after warm-up. States are numbered `2v`
+/// (`v_in`) and `2v + 1` (`v_out`); the marks are epoch-stamped, so
+/// starting a search is O(1).
+#[derive(Debug, Default)]
+pub struct CutScratch {
+    /// Per vertex: [`FIXED`] and [`SINK`] bits.
+    flag: Vec<u8>,
+    /// The vertices the super-source feeds.
+    sources: Vec<u32>,
+    /// Edge ids: fanin `j` of `v` is edge `in_start[v] + j`.
+    in_start: Vec<u32>,
+    /// Fanout CSR: `out[out_start[u]..out_start[u + 1]]` holds
+    /// `(edge id, head)` for every edge leaving `u`.
+    out_start: Vec<u32>,
+    out: Vec<(u32, u32)>,
+    /// Units of flow on each edge.
+    flow: Vec<u32>,
+    /// Whether a cuttable vertex's unit of capacity is in use.
+    through: Vec<bool>,
+    /// Per state: the epoch of the last search that reached it.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Per state: `(previous state, edge id or NONE)` on the search tree.
+    pred: Vec<(u32, u32)>,
+    /// Search frontier (a FIFO read from `head`).
+    queue: Vec<u32>,
+}
+
+impl CutScratch {
+    /// A scratch with empty buffers (they grow on first use).
+    #[must_use]
+    pub fn new() -> Self {
+        CutScratch::default()
+    }
+
+    /// Loads the graph: vertex flags, edge ids, the fanout CSR, and zero
+    /// flow.
+    fn load<F: AsRef<[usize]>>(&mut self, fanins: &[F], role: impl Fn(usize) -> Role) {
+        let n = fanins.len();
+        self.flag.clear();
+        self.sources.clear();
+        for v in 0..n {
+            let r = role(v);
+            let mut f = 0;
+            if r.uncuttable || r.sink {
+                f |= FIXED;
+            }
+            if r.sink {
+                f |= SINK;
+            }
+            if r.source {
+                self.sources.push(v as u32);
+            }
+            self.flag.push(f);
+        }
+        let m: usize = fanins.iter().map(|fan| fan.as_ref().len()).sum();
+        assert!(
+            2 * n < NONE as usize && m < NONE as usize,
+            "graph too large for 32-bit state and edge ids"
+        );
+        self.in_start.clear();
+        let mut first = 0;
+        for fan in fanins {
+            self.in_start.push(first);
+            first += fan.as_ref().len() as u32;
+        }
+        self.in_start.push(first);
+        // Count fanouts, turn the counts into slot ends, then fill each
+        // list back to front so it ends up in ascending edge order.
+        self.out_start.clear();
+        self.out_start.resize(n + 1, 0);
+        for fan in fanins {
+            for &u in fan.as_ref() {
+                self.out_start[u] += 1;
+            }
+        }
+        let mut end = 0;
+        for slot in &mut self.out_start[..n] {
+            end += *slot;
+            *slot = end;
+        }
+        self.out_start[n] = first;
+        self.out.clear();
+        self.out.resize(m, (0, 0));
+        for (v, fan) in fanins.iter().enumerate().rev() {
+            let first = self.in_start[v];
+            for (j, &u) in fan.as_ref().iter().enumerate().rev() {
+                self.out_start[u] -= 1;
+                self.out[self.out_start[u] as usize] = (first + j as u32, v as u32);
+            }
+        }
+        self.flow.clear();
+        self.flow.resize(m, 0);
+        self.through.clear();
+        self.through.resize(n, false);
+        if self.mark.len() < 2 * n {
+            self.mark.resize(2 * n, 0);
+            self.pred.resize(2 * n, (NONE, NONE));
+        }
+    }
+
+    /// Marks state `s` reached over `pred` and queues it; an uncuttable
+    /// vertex's other state comes along. Returns whether `s` belongs to a
+    /// sink.
+    fn reach(&mut self, s: u32, pred: (u32, u32)) -> bool {
+        let i = s as usize;
+        if self.mark[i] == self.epoch {
+            return false;
+        }
+        self.mark[i] = self.epoch;
+        self.pred[i] = pred;
+        self.queue.push(s);
+        let f = self.flag[i >> 1];
+        if f & FIXED != 0 {
+            // The twin is unmarked: both states are always marked together.
+            self.mark[i ^ 1] = self.epoch;
+            self.pred[i ^ 1] = (s, NONE);
+            self.queue.push(s ^ 1);
+        }
+        f & SINK != 0
+    }
+
+    /// One breadth-first search for an augmenting path from the
+    /// super-source to a sink. Pushes one unit along the path it finds
+    /// and returns `true`; otherwise leaves the reached states marked
+    /// with the current epoch and returns `false`.
+    fn augment<F: AsRef<[usize]>>(&mut self, fanins: &[F]) -> bool {
+        if self.epoch == u32::MAX {
+            // Epoch wrap: physically clear the stale stamps once.
+            self.mark.iter_mut().for_each(|m| *m = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.queue.clear();
+        for k in 0..self.sources.len() {
+            let s = 2 * self.sources[k];
+            if self.reach(s, (NONE, NONE)) {
+                self.push_unit(s);
+                return true;
+            }
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let s = self.queue[head];
+            head += 1;
+            let v = (s >> 1) as usize;
+            let cuttable = self.flag[v] & FIXED == 0;
+            let hit = if s & 1 == 0 {
+                // v_in: through v if its unit is free, or back along a
+                // fanin edge that carries flow.
+                if cuttable && !self.through[v] {
+                    self.reach(s | 1, (s, NONE));
+                }
+                let first = self.in_start[v];
+                fanins[v].as_ref().iter().enumerate().find_map(|(j, &u)| {
+                    let e = first + j as u32;
+                    (self.flow[e as usize] > 0 && self.reach(2 * u as u32 + 1, (s, e)))
+                        .then_some(2 * u as u32 + 1)
+                })
+            } else {
+                // v_out: back through v if its unit is used, or forward
+                // along any fanout edge.
+                if cuttable && self.through[v] {
+                    self.reach(s ^ 1, (s, NONE));
+                }
+                (self.out_start[v]..self.out_start[v + 1]).find_map(|k| {
+                    let (e, w) = self.out[k as usize];
+                    self.reach(2 * w, (s, e)).then_some(2 * w)
+                })
+            };
+            if let Some(t) = hit {
+                self.push_unit(t);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Pushes one unit of flow along the search-tree path ending at `t`.
+    fn push_unit(&mut self, mut t: u32) {
+        loop {
+            let (p, e) = self.pred[t as usize];
+            if p == NONE {
+                return;
+            }
+            if e == NONE {
+                // Through a vertex: forward into `v_out` takes its unit,
+                // backward into `v_in` frees it. Uncuttable vertices keep
+                // no state.
+                let v = (t >> 1) as usize;
+                if self.flag[v] & FIXED == 0 {
+                    self.through[v] = t & 1 == 1;
+                }
+            } else if p & 1 == 1 {
+                self.flow[e as usize] += 1; // u_out -> w_in along the edge
+            } else {
+                self.flow[e as usize] -= 1; // w_in -> u_out against it
+            }
+            t = p;
+        }
+    }
+}
+
+/// Computes the source-closest minimum **vertex** cut of a graph given by
+/// fanin lists (`fanins[v]` lists the tails of the edges into `v`), where
+/// every vertex that `role` does not make uncuttable has capacity 1.
+/// Stops early and returns [`VertexCut::ExceedsLimit`] when every cut has
+/// more than `limit` vertices.
+///
+/// The flow is built from at most `limit + 1` unit augmenting paths,
+/// each found by a breadth-first search of the implicit node-split
+/// residual graph. The returned cut is the set of cuttable vertices `v`
+/// whose `v_in` the last search reached but whose `v_out` it did not.
+/// That set is the same for every maximum flow, so it does not depend on
+/// which paths were found: it is the minimum cut whose source side is
+/// contained in that of every other minimum cut.
+///
+/// After warm-up the only allocation is the returned cut.
 ///
 /// # Panics
 ///
-/// Panics if `cap.len() != g.node_count()`, if `sources` or `sinks` is
-/// empty, or if some vertex is both source and sink.
+/// Panics if a fanin is not a vertex of the graph, or if the graph has
+/// `2^31` vertices or `2^32 - 1` edges or more.
+///
+/// # Example
+///
+/// ```
+/// use turbosyn_graph::maxflow::{unit_vertex_cut, CutScratch, Role, VertexCut};
+///
+/// // Leaves 1 and 2 feed 3, which feeds the sink 0: vertex 3 is the cut.
+/// let fanins = vec![vec![3], vec![], vec![], vec![1, 2]];
+/// let role = |v: usize| Role {
+///     source: v == 1 || v == 2,
+///     sink: v == 0,
+///     ..Role::default()
+/// };
+/// let mut scratch = CutScratch::new();
+/// assert_eq!(unit_vertex_cut(&fanins, role, 4, &mut scratch), VertexCut::Cut(vec![3]));
+/// ```
+pub fn unit_vertex_cut<F: AsRef<[usize]>>(
+    fanins: &[F],
+    role: impl Fn(usize) -> Role,
+    limit: usize,
+    scratch: &mut CutScratch,
+) -> VertexCut {
+    let n = fanins.len();
+    scratch.load(fanins, role);
+    // A finite cut has at most n vertices, so more than n units of flow
+    // means that no finite cut exists.
+    let cap = limit.min(n);
+    let mut flow = 0;
+    while scratch.augment(fanins) {
+        flow += 1;
+        if flow > cap {
+            return VertexCut::ExceedsLimit;
+        }
+    }
+    let epoch = scratch.epoch;
+    let cut: Vec<usize> = (0..n)
+        .filter(|&v| {
+            scratch.flag[v] & FIXED == 0
+                && scratch.mark[2 * v] == epoch
+                && scratch.mark[2 * v + 1] != epoch
+        })
+        .collect();
+    debug_assert_eq!(cut.len(), flow);
+    VertexCut::Cut(cut)
+}
+
+/// Computes the source-closest minimum **vertex** cut separating
+/// `sources` from `sinks` in `g`, where every vertex with
+/// `uncuttable[v] == false` has capacity 1. Sources and sinks are never
+/// cut. Stops early and returns [`VertexCut::ExceedsLimit`] when every
+/// cut has more than `limit` vertices.
+///
+/// A thin wrapper over [`unit_vertex_cut`] that allocates its own
+/// scratch.
+///
+/// # Panics
+///
+/// Panics if `uncuttable.len() != g.node_count()`, if `sources` or
+/// `sinks` is empty, or if some vertex is both source and sink.
 pub fn min_vertex_cut(
     g: &Digraph,
     sources: &[usize],
     sinks: &[usize],
-    cap: &[u32],
+    uncuttable: &[bool],
     limit: u32,
 ) -> VertexCut {
-    min_vertex_cut_interruptible(g, sources, sinks, cap, limit, &NEVER)
-        .expect("a never-set stop flag cannot interrupt")
-}
-
-/// [`min_vertex_cut`] with a cooperative stop flag (see
-/// [`FlowNetwork::max_flow_interruptible`]). Returns `None` if the flag
-/// was observed set before the cut was decided.
-///
-/// # Panics
-///
-/// Same conditions as [`min_vertex_cut`].
-pub fn min_vertex_cut_interruptible(
-    g: &Digraph,
-    sources: &[usize],
-    sinks: &[usize],
-    cap: &[u32],
-    limit: u32,
-    stop: &AtomicBool,
-) -> Option<VertexCut> {
-    let mut arena = FlowArena::new();
-    arena.min_vertex_cut_interruptible(g, sources, sinks, cap, limit, stop)
-}
-
-/// Reusable scratch buffers for repeated min-cut computations.
-///
-/// The label sweep solves one minimum vertex cut per node per sweep; the
-/// network layout differs every time but the buffer *shapes* recur, so a
-/// per-worker arena amortizes the allocations. An arena is deliberately
-/// `!Sync`-by-convention — each worker thread owns one (`&mut` access) —
-/// while the inputs it operates on are shared.
-#[derive(Debug, Default)]
-pub struct FlowArena {
-    net: FlowNetwork,
-}
-
-impl FlowArena {
-    /// A fresh arena with empty buffers.
-    pub fn new() -> Self {
-        FlowArena {
-            net: FlowNetwork::new(0),
-        }
-    }
-
-    /// [`min_vertex_cut`] computed in this arena's reusable network.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`min_vertex_cut`].
-    pub fn min_vertex_cut(
-        &mut self,
-        g: &Digraph,
-        sources: &[usize],
-        sinks: &[usize],
-        cap: &[u32],
-        limit: u32,
-    ) -> VertexCut {
-        self.min_vertex_cut_interruptible(g, sources, sinks, cap, limit, &NEVER)
-            .expect("a never-set stop flag cannot interrupt")
-    }
-
-    /// [`min_vertex_cut_interruptible`] computed in this arena's
-    /// reusable network.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`min_vertex_cut`].
-    pub fn min_vertex_cut_interruptible(
-        &mut self,
-        g: &Digraph,
-        sources: &[usize],
-        sinks: &[usize],
-        cap: &[u32],
-        limit: u32,
-        stop: &AtomicBool,
-    ) -> Option<VertexCut> {
-        min_vertex_cut_in(&mut self.net, g, sources, sinks, cap, limit, stop)
-    }
-}
-
-fn min_vertex_cut_in(
-    net: &mut FlowNetwork,
-    g: &Digraph,
-    sources: &[usize],
-    sinks: &[usize],
-    cap: &[u32],
-    limit: u32,
-    stop: &AtomicBool,
-) -> Option<VertexCut> {
-    assert_eq!(cap.len(), g.node_count(), "capacity table size mismatch");
+    assert_eq!(
+        uncuttable.len(),
+        g.node_count(),
+        "uncuttable table size mismatch"
+    );
     assert!(!sources.is_empty(), "no sources");
     assert!(!sinks.is_empty(), "no sinks");
-    let n = g.node_count();
-    let mut is_source = vec![false; n];
-    for &s in sources {
-        is_source[s] = true;
-    }
-    let mut is_sink = vec![false; n];
-    for &t in sinks {
-        assert!(!is_source[t], "vertex {t} is both source and sink");
-        is_sink[t] = true;
-    }
-
-    // Layout: v_in = 2v, v_out = 2v+1, super-source = 2n, super-sink = 2n+1.
-    net.reset(2 * n + 2);
-    let (ss, tt) = (2 * n, 2 * n + 1);
-    for v in 0..n {
-        let c = if is_source[v] || is_sink[v] {
-            INF
-        } else {
-            cap[v].min(INF)
-        };
-        net.add_arc(2 * v, 2 * v + 1, c);
-    }
-    for e in g.edges() {
-        net.add_arc(2 * e.from + 1, 2 * e.to, INF);
-    }
-    for &s in sources {
-        net.add_arc(ss, 2 * s, INF);
-    }
-    for &t in sinks {
-        net.add_arc(2 * t + 1, tt, INF);
-    }
-
-    let flow = net.max_flow_interruptible(ss, tt, limit, stop)?;
-    if flow > limit {
-        return Some(VertexCut::ExceedsLimit);
-    }
-    let side = net.min_cut_source_side(ss);
-    let cut: Vec<usize> = (0..n)
-        .filter(|&v| side[2 * v] && !side[2 * v + 1])
+    let mut roles: Vec<Role> = uncuttable
+        .iter()
+        .map(|&uncuttable| Role {
+            uncuttable,
+            ..Role::default()
+        })
         .collect();
-    debug_assert!(cut.iter().map(|&v| cap[v] as u64).sum::<u64>() == flow as u64);
-    Some(VertexCut::Cut(cut))
+    for &s in sources {
+        roles[s].source = true;
+        roles[s].uncuttable = true;
+    }
+    for &t in sinks {
+        assert!(!roles[t].source, "vertex {t} is both source and sink");
+        roles[t].sink = true;
+    }
+    let fanins: Vec<Vec<usize>> = g
+        .nodes()
+        .map(|v| g.in_edges(v).map(|e| e.from).collect())
+        .collect();
+    unit_vertex_cut(
+        &fanins,
+        |v| roles[v],
+        limit as usize,
+        &mut CutScratch::new(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn simple_max_flow() {
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 3);
-        net.add_arc(0, 2, 2);
-        net.add_arc(1, 3, 2);
-        net.add_arc(2, 3, 3);
-        net.add_arc(1, 2, 5);
-        assert_eq!(net.max_flow(0, 3, 100), 5);
-    }
-
-    #[test]
-    fn early_exit_over_limit() {
-        let mut net = FlowNetwork::new(2);
-        for _ in 0..10 {
-            net.add_arc(0, 1, 1);
-        }
-        let f = net.max_flow(0, 1, 3);
-        assert!(f > 3, "flow {f} should exceed the limit");
-    }
-
-    #[test]
-    fn min_cut_side_is_consistent() {
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 1);
-        net.add_arc(0, 2, 1);
-        net.add_arc(1, 3, 5);
-        net.add_arc(2, 3, 5);
-        assert_eq!(net.max_flow(0, 3, 10), 2);
-        let side = net.min_cut_source_side(0);
-        assert!(side[0]);
-        assert!(!side[3]);
-    }
 
     #[test]
     fn vertex_cut_diamond() {
@@ -447,13 +387,10 @@ mod tests {
         g.add_edge(0, 2, 0);
         g.add_edge(1, 3, 0);
         g.add_edge(2, 3, 0);
-        match min_vertex_cut(&g, &[0], &[3], &[1; 4], 5) {
-            VertexCut::Cut(mut cut) => {
-                cut.sort_unstable();
-                assert_eq!(cut, vec![1, 2]);
-            }
-            VertexCut::ExceedsLimit => panic!("cut expected"),
-        }
+        assert_eq!(
+            min_vertex_cut(&g, &[0], &[3], &[false; 4], 5),
+            VertexCut::Cut(vec![1, 2])
+        );
     }
 
     #[test]
@@ -466,7 +403,7 @@ mod tests {
         g.add_edge(1, 3, 0);
         g.add_edge(2, 3, 0);
         g.add_edge(3, 4, 0);
-        match min_vertex_cut(&g, &[0], &[4], &[1; 5], 5) {
+        match min_vertex_cut(&g, &[0], &[4], &[false; 5], 5) {
             VertexCut::Cut(cut) => assert_eq!(cut, vec![3]),
             VertexCut::ExceedsLimit => panic!("cut expected"),
         }
@@ -476,33 +413,42 @@ mod tests {
     fn vertex_cut_respects_limit() {
         // K+1 disjoint paths => every cut has size K+1 > K.
         let k = 3;
-        let mut g = Digraph::new(2 + (k + 1));
-        for i in 0..=k {
-            let mid = 2 + i;
-            g.add_edge(0, mid, 0);
-            g.add_edge(mid, 1, 0);
+        let sink = 0;
+        let mids: Vec<usize> = (2..2 + k + 1).collect();
+        let mut fanins = vec![Vec::new(); 2 + k + 1];
+        fanins[sink] = mids.clone();
+        for &mid in &mids {
+            fanins[mid] = vec![1];
         }
+        let role = |v: usize| Role {
+            source: v == 1,
+            uncuttable: v == 1,
+            sink: v == sink,
+        };
+        let mut scratch = CutScratch::new();
         assert_eq!(
-            min_vertex_cut(&g, &[0], &[1], &vec![1; 2 + (k + 1)], k as u32),
+            unit_vertex_cut(&fanins, role, k, &mut scratch),
             VertexCut::ExceedsLimit
+        );
+        // One more unit of limit admits exactly the K+1 middle vertices.
+        assert_eq!(
+            unit_vertex_cut(&fanins, role, k + 1, &mut scratch),
+            VertexCut::Cut(mids)
         );
     }
 
     #[test]
     fn uncuttable_vertices_are_respected() {
-        // Two paths; one middle vertex is uncuttable, so the cut must take
-        // the other one plus go around — forcing cost from the cuttable side.
+        // Two paths; vertex 1, the only interior vertex of the path
+        // 0 -> 1 -> 3, is uncuttable, so no cut exists within any limit.
         let mut g = Digraph::new(4);
         g.add_edge(0, 1, 0);
         g.add_edge(1, 3, 0);
         g.add_edge(0, 2, 0);
         g.add_edge(2, 3, 0);
-        let caps = [1, u32::MAX, 1, 1];
-        // Vertex 1 cannot be cut; there is no finite cut of the 0->1->3 path
-        // except... vertex 1 is the only interior on that path, so no cut
-        // within any limit exists.
+        let uncuttable = [false, true, false, false];
         assert_eq!(
-            min_vertex_cut(&g, &[0], &[3], &caps, 100),
+            min_vertex_cut(&g, &[0], &[3], &uncuttable, 100),
             VertexCut::ExceedsLimit
         );
     }
@@ -515,80 +461,110 @@ mod tests {
         g.add_edge(1, 2, 0);
         g.add_edge(2, 3, 0);
         g.add_edge(2, 4, 0);
-        match min_vertex_cut(&g, &[0, 1], &[3, 4], &[1; 5], 5) {
+        match min_vertex_cut(&g, &[0, 1], &[3, 4], &[false; 5], 5) {
             VertexCut::Cut(cut) => assert_eq!(cut, vec![2]),
             VertexCut::ExceedsLimit => panic!("cut expected"),
         }
     }
 
     #[test]
-    fn pre_set_stop_flag_interrupts_max_flow() {
-        let stop = AtomicBool::new(true);
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 1);
-        net.add_arc(1, 3, 1);
-        assert_eq!(net.max_flow_interruptible(0, 3, 10, &stop), None);
-    }
-
-    #[test]
-    fn unset_stop_flag_matches_plain_variant() {
-        let stop = AtomicBool::new(false);
-        let mut g = Digraph::new(4);
-        g.add_edge(0, 1, 0);
-        g.add_edge(0, 2, 0);
-        g.add_edge(1, 3, 0);
-        g.add_edge(2, 3, 0);
-        let plain = min_vertex_cut(&g, &[0], &[3], &[1; 4], 5);
-        let inter = min_vertex_cut_interruptible(&g, &[0], &[3], &[1; 4], 5, &stop)
-            .expect("unset flag never interrupts");
-        assert_eq!(plain, inter);
+    fn cuttable_leaves_fed_by_the_source_can_be_cut() {
+        // Expansion shape: cuttable leaves 2, 3, 4 fed by the source;
+        // 1 = f(2, 3) is uncuttable, the sink 0 = g(1, 4). The cut must
+        // take the leaves themselves.
+        let fanins = vec![vec![1, 4], vec![2, 3], vec![], vec![], vec![]];
+        let role = |v: usize| Role {
+            uncuttable: v == 1,
+            source: v >= 2,
+            sink: v == 0,
+        };
+        let mut scratch = CutScratch::new();
         assert_eq!(
-            min_vertex_cut_interruptible(&g, &[0], &[3], &[1; 4], 5, &AtomicBool::new(true)),
-            None
+            unit_vertex_cut(&fanins, role, 3, &mut scratch),
+            VertexCut::Cut(vec![2, 3, 4])
+        );
+        assert_eq!(
+            unit_vertex_cut(&fanins, role, 2, &mut scratch),
+            VertexCut::ExceedsLimit
         );
     }
 
     #[test]
-    fn arena_reuse_matches_fresh_networks() {
-        let mut arena = FlowArena::new();
-        for size in [4usize, 8, 3, 12] {
-            // A funnel: sources 0..size/2 through one mid vertex to the sink.
-            let mid = size;
-            let sink = size + 1;
+    fn uncut_sink_fed_by_the_source_exceeds_every_limit() {
+        let fanins: Vec<Vec<usize>> = vec![vec![]];
+        let role = |_| Role {
+            source: true,
+            sink: true,
+            ..Role::default()
+        };
+        assert_eq!(
+            unit_vertex_cut(&fanins, role, usize::MAX, &mut CutScratch::new()),
+            VertexCut::ExceedsLimit
+        );
+    }
+
+    #[test]
+    fn scratch_reuse_matches_fresh_scratch() {
+        let mut scratch = CutScratch::new();
+        for size in [4usize, 8, 3, 12, 2] {
+            // A funnel: sources 0..size/2 through one mid vertex to the
+            // sink, with a bypass from the first source when size is odd.
+            let (mid, sink) = (size, size + 1);
             let mut g = Digraph::new(size + 2);
             for s in 0..size / 2 {
                 g.add_edge(s, mid, 0);
             }
             g.add_edge(mid, sink, 0);
-            let caps = vec![1u32; size + 2];
+            if size % 2 == 1 {
+                g.add_edge(0, sink, 0);
+            }
             let srcs: Vec<usize> = (0..size / 2).collect();
-            let fresh = min_vertex_cut(&g, &srcs, &[sink], &caps, 10);
-            let reused = arena.min_vertex_cut(&g, &srcs, &[sink], &caps, 10);
+            let fresh = min_vertex_cut(&g, &srcs, &[sink], &vec![false; size + 2], 10);
+            let fanins: Vec<Vec<usize>> = g
+                .nodes()
+                .map(|v| g.in_edges(v).map(|e| e.from).collect())
+                .collect();
+            let role = |v: usize| Role {
+                uncuttable: v < size / 2,
+                source: v < size / 2,
+                sink: v == sink,
+            };
+            let reused = unit_vertex_cut(&fanins, role, 10, &mut scratch);
             assert_eq!(fresh, reused, "size {size}");
         }
     }
 
     #[test]
-    fn reset_clears_previous_arcs() {
-        let mut net = FlowNetwork::new(3);
-        net.add_arc(0, 1, 7);
-        net.add_arc(1, 2, 7);
-        assert_eq!(net.max_flow(0, 2, 100), 7);
-        net.reset(2);
-        assert_eq!(net.node_count(), 2);
-        // No arcs survive the reset: zero flow in the fresh network.
-        assert_eq!(net.max_flow(0, 1, 100), 0);
+    fn epoch_wrap_clears_stale_marks() {
+        let fanins = vec![vec![1], vec![2], vec![]];
+        let role = |v: usize| Role {
+            source: v == 2,
+            sink: v == 0,
+            ..Role::default()
+        };
+        let mut scratch = CutScratch::new();
+        let before = unit_vertex_cut(&fanins, role, 4, &mut scratch);
+        scratch.epoch = u32::MAX - 1; // the next searches cross the wrap
+        assert_eq!(unit_vertex_cut(&fanins, role, 4, &mut scratch), before);
+        assert_eq!(before, VertexCut::Cut(vec![2]));
     }
 
     #[test]
-    fn deep_chain_recursion_is_bounded() {
-        // A 10k-node chain; Dinic's DFS recursion depth equals path length,
-        // so this guards against stack overflow regressions.
+    fn deep_chain_is_searched_without_recursion() {
+        // A 10k-vertex chain 9999 -> ... -> 0: one augmenting path of
+        // full length, found without recursion. The source end is the cut.
         let n = 10_000;
-        let mut net = FlowNetwork::new(n);
-        for v in 0..n - 1 {
-            net.add_arc(v, v + 1, 1);
-        }
-        assert_eq!(net.max_flow(0, n - 1, 5), 1);
+        let fanins: Vec<Vec<usize>> = (0..n)
+            .map(|v| if v + 1 < n { vec![v + 1] } else { Vec::new() })
+            .collect();
+        let role = |v: usize| Role {
+            source: v == n - 1,
+            sink: v == 0,
+            ..Role::default()
+        };
+        assert_eq!(
+            unit_vertex_cut(&fanins, role, 5, &mut CutScratch::new()),
+            VertexCut::Cut(vec![n - 1])
+        );
     }
 }

@@ -87,8 +87,8 @@ fn vertex_cut_separates() {
         let (g, _) = random_graph(&mut rng, 10, 20, 0..1, 0..1);
         let n = g.node_count();
         let (src, dst) = (0usize, n - 1);
-        let cap = vec![1u32; n];
-        if let VertexCut::Cut(cut) = min_vertex_cut(&g, &[src], &[dst], &cap, n as u32) {
+        let uncuttable = vec![false; n];
+        if let VertexCut::Cut(cut) = min_vertex_cut(&g, &[src], &[dst], &uncuttable, n as u32) {
             let mut blocked = vec![false; n];
             for &v in &cut {
                 blocked[v] = true;
@@ -142,8 +142,8 @@ fn vertex_cut_is_minimum() {
         let (g, _) = random_graph(&mut rng, 8, 14, 0..1, 0..1);
         let n = g.node_count();
         let (src, dst) = (0usize, n - 1);
-        let cap = vec![1u32; n];
-        let flow_cut = match min_vertex_cut(&g, &[src], &[dst], &cap, n as u32) {
+        let uncuttable = vec![false; n];
+        let flow_cut = match min_vertex_cut(&g, &[src], &[dst], &uncuttable, n as u32) {
             VertexCut::Cut(cut) => Some(cut.len()),
             VertexCut::ExceedsLimit => None,
         };
@@ -166,5 +166,108 @@ fn vertex_cut_is_minimum() {
             }
         }
         assert_eq!(flow_cut, best, "flow cut vs brute force");
+    }
+}
+
+/// The returned cut is the *source-closest* minimum cut: brute force over
+/// every subset of cuttable vertices confirms that it has minimum size,
+/// that it separates, and that the vertices it leaves reachable from the
+/// sources are reachable past every other minimum cut too. That makes
+/// the cut independent of which maximum flow was found.
+#[test]
+fn vertex_cut_is_source_closest_minimum() {
+    let mut rng = StdRng::seed_from_u64(0x77);
+    for _ in 0..500 {
+        // Every non-source vertex takes one or two fanins from lower
+        // numbers, plus a few edges in either direction, so the sinks
+        // are reachable and minimum cuts often tie.
+        let n = rng.random_range(5..11);
+        let n_src = rng.random_range(1..4);
+        let n_dst = rng.random_range(1..3);
+        let mut g = Digraph::new(n);
+        for v in n_src..n {
+            for _ in 0..rng.random_range(1..3) {
+                g.add_edge(rng.random_range(0..v), v, 0);
+            }
+        }
+        for _ in 0..rng.random_range(0..n / 3 + 1) {
+            g.add_edge(rng.random_range(0..n), rng.random_range(0..n), 0);
+        }
+        let sources: Vec<usize> = (0..n_src).collect();
+        let sinks: Vec<usize> = (n - n_dst..n).collect();
+        let (sources, sinks) = (&sources[..], &sinks[..]);
+        let uncuttable: Vec<bool> = (0..n).map(|_| rng.random_range(0..5) == 0).collect();
+        let cuttable: Vec<usize> = (0..n)
+            .filter(|&v| !uncuttable[v] && !sources.contains(&v) && !sinks.contains(&v))
+            .collect();
+
+        // Vertices reachable from the sources with `blocked` removed.
+        let reach = |blocked: &[bool]| {
+            reachable_from(&g, sources.iter().copied(), |e| {
+                !blocked[e.from] && !blocked[e.to]
+            })
+        };
+        let mut min_cuts: Vec<Vec<bool>> = Vec::new();
+        let mut best = usize::MAX;
+        for mask in 0..(1u32 << cuttable.len()) {
+            let size = mask.count_ones() as usize;
+            if size > best {
+                continue;
+            }
+            let mut blocked = vec![false; n];
+            for (j, &v) in cuttable.iter().enumerate() {
+                blocked[v] = (mask >> j) & 1 == 1;
+            }
+            let side = reach(&blocked);
+            if sinks.iter().any(|&t| side[t]) {
+                continue;
+            }
+            if size < best {
+                best = size;
+                min_cuts.clear();
+            }
+            min_cuts.push(blocked);
+        }
+
+        let got = min_vertex_cut(&g, sources, sinks, &uncuttable, n as u32);
+        if min_cuts.is_empty() {
+            assert_eq!(got, VertexCut::ExceedsLimit, "no finite cut exists");
+            continue;
+        }
+        let VertexCut::Cut(cut) = got else {
+            panic!("a cut of size {best} exists");
+        };
+        assert_eq!(cut.len(), best, "cut {cut:?} is not minimum");
+        assert!(
+            cut.windows(2).all(|w| w[0] < w[1]),
+            "cut {cut:?} not ascending"
+        );
+        let mut blocked = vec![false; n];
+        for &v in &cut {
+            assert!(
+                cuttable.contains(&v),
+                "cut {cut:?} takes an uncuttable vertex"
+            );
+            blocked[v] = true;
+        }
+        let side = reach(&blocked);
+        assert!(
+            sinks.iter().all(|&t| !side[t]),
+            "cut {cut:?} does not separate"
+        );
+        for other in &min_cuts {
+            let other_side = reach(other);
+            assert!(
+                (0..n).all(|v| !side[v] || other_side[v]),
+                "cut {cut:?} is not the source-closest minimum cut"
+            );
+        }
+        if best > 0 {
+            assert_eq!(
+                min_vertex_cut(&g, sources, sinks, &uncuttable, best as u32 - 1),
+                VertexCut::ExceedsLimit,
+                "limit below the minimum"
+            );
+        }
     }
 }
