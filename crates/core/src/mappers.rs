@@ -221,7 +221,12 @@ fn drive(
 
     // Upper bound: the gate-level MDR ceiling (the identity mapping
     // realizes it), or 1 for acyclic circuits.
-    let ub = ub_hint.unwrap_or_else(|| period_lower_bound(&c)).max(1);
+    let ub = ub_hint
+        .unwrap_or_else(|| {
+            let _t = gauge.trace().span("period_lower_bound");
+            period_lower_bound(&c)
+        })
+        .max(1);
 
     let mut best: Option<(i64, Vec<i64>)> = None;
     let mut lo = 1i64;
@@ -418,7 +423,10 @@ pub(crate) fn turbosyn_with(
     // Upper bound from TurboMap's label search (labels only — cheap).
     let prep = prepare(c, opts.k)?;
     let gauge = Gauge::new(opts.budget.clone()).with_trace(opts.trace.clone());
-    let tm_ub = period_lower_bound(&prep).max(1);
+    let tm_ub = {
+        let _t = gauge.trace().span("period_lower_bound");
+        period_lower_bound(&prep).max(1)
+    };
     let mut ub = tm_ub;
     // Find TurboMap's minimum phi to tighten the search range.
     let mut lo = 1;

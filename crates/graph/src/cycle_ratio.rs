@@ -17,17 +17,15 @@
 //! with ratio `> p/q`"* (strict, Bellman–Ford positive-cycle detection, see
 //! [`crate::bellman_ford`]) and *"… `>= p/q`"* (non-strict, adds a
 //! tight-subgraph cycle test). All arithmetic is `i128`, no floating point.
+//! The search runs on each cyclic strongly connected component's own
+//! induced subgraph, so the oracles never relax the acyclic rest of the
+//! graph.
 
 use crate::bellman_ford::{has_positive_cycle, longest_paths, LongestPaths};
 use crate::scc::condensation;
 use crate::Digraph;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-
-/// A stop flag that never fires; lets [`max_cycle_ratio`] share the
-/// interruptible code path.
-static NEVER: AtomicBool = AtomicBool::new(false);
 
 /// An exact non-negative rational number `num/den` with `den > 0`, kept in
 /// lowest terms.
@@ -203,6 +201,11 @@ fn reaches_scaled(g: &Digraph, delay: &[i64], num: i128, den: i128) -> bool {
 /// Computes the exact maximum cycle ratio (MDR ratio) of `g` under node
 /// delays `delay` and edge register weights.
 ///
+/// Every cycle lies inside one strongly connected component, so the ratio
+/// is the maximum over the cyclic SCCs, and each SCC is searched on its
+/// own induced subgraph. An SCC that cannot beat the best ratio found so
+/// far costs one strict oracle call.
+///
 /// # Errors
 ///
 /// * [`MdrError::Acyclic`] if the graph has no directed cycle.
@@ -214,25 +217,6 @@ fn reaches_scaled(g: &Digraph, delay: &[i64], num: i128, den: i128) -> bool {
 /// Panics if `delay.len() != g.node_count()`, if any delay is negative, or
 /// if any edge weight is negative.
 pub fn max_cycle_ratio(g: &Digraph, delay: &[i64]) -> Result<Ratio, MdrError> {
-    max_cycle_ratio_interruptible(g, delay, &NEVER).expect("a never-set stop flag cannot interrupt")
-}
-
-/// [`max_cycle_ratio`] with a cooperative stop flag, polled once per
-/// Stern–Brocot oracle step. Returns `None` if the flag was observed set
-/// before the ratio was decided.
-///
-/// # Errors
-///
-/// Same conditions as [`max_cycle_ratio`].
-///
-/// # Panics
-///
-/// Same conditions as [`max_cycle_ratio`].
-pub fn max_cycle_ratio_interruptible(
-    g: &Digraph,
-    delay: &[i64],
-    stop: &AtomicBool,
-) -> Option<Result<Ratio, MdrError>> {
     assert_eq!(delay.len(), g.node_count(), "delay table size mismatch");
     assert!(delay.iter().all(|&d| d >= 0), "negative node delay");
     assert!(
@@ -240,45 +224,56 @@ pub fn max_cycle_ratio_interruptible(
         "negative register count on an edge"
     );
 
-    // Cycle existence.
     let cond = condensation(g);
-    if !(0..cond.count()).any(|c| cond.is_cyclic(g, c)) {
-        return Some(Err(MdrError::Acyclic));
-    }
+    // `local[v]` is v's index in the subgraph of its own SCC; only read for
+    // members of the SCC being built, so it is never reset.
+    let mut local = vec![0usize; g.node_count()];
+    let mut best: Option<Ratio> = None;
+    for c in (0..cond.count()).filter(|&c| cond.is_cyclic(g, c)) {
+        let members = &cond.members[c];
+        for (i, &v) in members.iter().enumerate() {
+            local[v] = i;
+        }
+        let mut sub = Digraph::new(members.len());
+        let mut zero_sub = Digraph::new(members.len());
+        for &v in members {
+            for e in g.out_edges(v).filter(|e| cond.comp[e.to] == c) {
+                sub.add_edge(local[v], local[e.to], e.weight);
+                if e.weight == 0 {
+                    zero_sub.add_edge(local[v], local[e.to], 0);
+                }
+            }
+        }
+        let sub_delay: Vec<i64> = members.iter().map(|&v| delay[v]).collect();
 
-    // Register-free cycle with positive total delay => unbounded ratio.
-    // Restrict to the zero-weight subgraph and look for a positive-delay cycle.
-    let mut zero_sub = Digraph::new(g.node_count());
-    for e in g.edges() {
-        if e.weight == 0 {
-            zero_sub.add_edge(e.from, e.to, 0);
+        // Register-free cycle with positive total delay => unbounded ratio.
+        if has_positive_cycle(&zero_sub, |e| sub_delay[e.to] as i128) {
+            return Err(MdrError::CombinationalCycle);
+        }
+        // NOTE: a zero-weight cycle whose nodes all have delay 0 contributes
+        // ratio 0/0; it is ignored, matching the convention that only
+        // registered loops constrain the clock. An SCC with no cycle of
+        // positive ratio therefore still gives the ratio 0.
+        let floor = *best.get_or_insert(Ratio::new(0, 1));
+        if exceeds_scaled(&sub, &sub_delay, floor.num as i128, floor.den as i128) {
+            best = Some(stern_brocot(&sub, &sub_delay));
         }
     }
-    if has_positive_cycle(&zero_sub, |e| delay[e.to] as i128) {
-        return Some(Err(MdrError::CombinationalCycle));
-    }
-    // NOTE: a zero-weight cycle whose nodes all have delay 0 contributes
-    // ratio 0/0; it is ignored, matching the convention that only
-    // registered loops constrain the clock.
+    best.ok_or(MdrError::Acyclic)
+}
 
-    if !exceeds_scaled(g, delay, 0, 1) {
-        // No cycle has positive ratio; the MDR ratio is 0 exactly when some
-        // registered cycle exists (guaranteed: the graph is cyclic and has
-        // no problematic combinational cycle).
-        return Some(Ok(Ratio::new(0, 1)));
-    }
-
-    // Accelerated Stern–Brocot search. Invariant: lo < λ* < hi, where
-    // hi = 1/0 plays the role of +infinity. Each step tests the mediant m:
-    //   λ* > m   → move lo (with exponential run acceleration),
-    //   λ* == m  → done,
-    //   λ* < m   → move hi (same acceleration).
+/// The exact maximum cycle ratio of `g`, which must be positive and
+/// finite.
+///
+/// Accelerated Stern–Brocot search. Invariant: lo < λ* < hi, where
+/// hi = 1/0 plays the role of +infinity. Each step tests the mediant m:
+///   λ* > m   → move lo (with exponential run acceleration),
+///   λ* == m  → done,
+///   λ* < m   → move hi (same acceleration).
+fn stern_brocot(g: &Digraph, delay: &[i64]) -> Ratio {
     let mut lo: (i128, i128) = (0, 1);
     let mut hi: (i128, i128) = (1, 0);
     loop {
-        if stop.load(AtomicOrdering::Relaxed) {
-            return None;
-        }
         let m = (lo.0 + hi.0, lo.1 + hi.1);
         if exceeds_scaled(g, delay, m.0, m.1) {
             // Largest k >= 1 with λ* > lo + k·hi (mediant repeated k times).
@@ -289,7 +284,7 @@ pub fn max_cycle_ratio_interruptible(
             lo = (lo.0 + k * hi.0, lo.1 + k * hi.1);
         } else if reaches_scaled(g, delay, m.0, m.1) {
             let g2 = gcd128(m.0, m.1);
-            return Some(Ok(Ratio::new((m.0 / g2) as i64, (m.1 / g2) as i64)));
+            return Ratio::new((m.0 / g2) as i64, (m.1 / g2) as i64);
         } else {
             // Largest k >= 1 with λ* < hi + k·lo.
             let k = run_length(|k| {
@@ -456,20 +451,20 @@ mod tests {
     }
 
     #[test]
-    fn pre_set_stop_flag_interrupts_ratio_search() {
-        let mut g = Digraph::new(3);
-        g.add_edge(0, 1, 1);
-        g.add_edge(1, 2, 1);
-        g.add_edge(2, 0, 0);
-        let d = delays(3);
-        assert_eq!(
-            max_cycle_ratio_interruptible(&g, &d, &AtomicBool::new(true)),
-            None
-        );
-        assert_eq!(
-            max_cycle_ratio_interruptible(&g, &d, &AtomicBool::new(false)),
-            Some(Ok(Ratio::new(3, 2)))
-        );
+    fn max_over_separate_sccs() {
+        // Loop {0,1}: delay 2, 1 register => 2. Loop {3,4}: delay 2, 2
+        // registers => 1. A bridge through 2 joins them in either order.
+        for forward in [true, false] {
+            let mut g = Digraph::new(5);
+            g.add_edge(0, 1, 1);
+            g.add_edge(1, 0, 0);
+            g.add_edge(3, 4, 1);
+            g.add_edge(4, 3, 1);
+            let (a, b) = if forward { (1, 3) } else { (4, 0) };
+            g.add_edge(a, 2, 0);
+            g.add_edge(2, b, 0);
+            assert_eq!(max_cycle_ratio(&g, &delays(5)), Ok(Ratio::new(2, 1)));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use turbosyn_graph::maxflow::{min_vertex_cut, VertexCut};
 use turbosyn_graph::reach::{reachable_from, reachable_set};
 use turbosyn_graph::rng::StdRng;
 use turbosyn_graph::scc::condensation;
-use turbosyn_graph::topo::topo_sort;
+use turbosyn_graph::topo::{topo_sort, topo_sort_zero_weight};
 use turbosyn_graph::Digraph;
 
 /// A random graph of up to `n` nodes and `m` edges with weights in `w`,
@@ -34,25 +34,42 @@ fn random_graph(
 
 /// The computed MDR ratio is exactly achieved (non-strict oracle says
 /// yes) and never exceeded (strict oracle says no).
+///
+/// Two case families: small graphs with every edge registered, and larger
+/// ones with register-free edges and several SCCs, where a combinational
+/// cycle must be reported exactly when the zero-weight subgraph is cyclic
+/// (all delays are positive there, so every such cycle is unbounded).
 #[test]
 fn mdr_is_tight() {
     let mut rng = StdRng::seed_from_u64(0x11);
-    for _ in 0..256 {
-        let (g, delay) = random_graph(&mut rng, 8, 16, 1..4, 0..5);
+    let (mut combinational, mut multi_scc) = (0, 0);
+    for case in 0..512 {
+        let (g, delay) = if case < 256 {
+            random_graph(&mut rng, 8, 16, 1..4, 0..5)
+        } else {
+            random_graph(&mut rng, 31, 40, 0..3, 1..5)
+        };
+        let zero_cyclic = topo_sort_zero_weight(&g).is_err();
         match max_cycle_ratio(&g, &delay) {
             Ok(r) => {
+                assert!(!zero_cyclic, "ratio {r} despite a combinational cycle");
                 assert!(reaches_ratio(&g, &delay, r), "ratio {r} not reached");
                 assert!(!exceeds_ratio(&g, &delay, r), "ratio {r} exceeded");
+                let cond = condensation(&g);
+                let cyclic = (0..cond.count()).filter(|&c| cond.is_cyclic(&g, c));
+                multi_scc += usize::from(cyclic.count() > 1);
             }
             Err(MdrError::Acyclic) => {
                 assert!(topo_sort(&g).is_ok(), "acyclic verdict on cyclic graph");
             }
             Err(MdrError::CombinationalCycle) => {
-                // Impossible: all weights are >= 1 in this generator.
-                panic!("combinational cycle with all weights >= 1");
+                assert!(zero_cyclic, "combinational verdict without one");
+                combinational += 1;
             }
         }
     }
+    assert!(combinational > 0, "no case had a combinational cycle");
+    assert!(multi_scc > 0, "no case had several cyclic SCCs");
 }
 
 /// Condensation numbers components in topological order and assigns
