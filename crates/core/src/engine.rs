@@ -2,11 +2,11 @@
 //!
 //! The free mapper functions ([`turbosyn`](crate::turbosyn) and friends)
 //! are stateless: every call builds its caches from scratch. An
-//! [`Engine`] keeps the expansion-skeleton and decomposition caches
-//! alive across calls, so mapping the same (or a structurally similar)
-//! circuit again reuses earlier work. Results are identical either way —
-//! caching only changes wall-clock (see [`crate::cache`] internals for
-//! the argument).
+//! [`Engine`] keeps the decomposition cache and the probe lineage alive
+//! across calls, so mapping the same (or a structurally similar) circuit
+//! again reuses earlier work. Results are identical either way — caching
+//! only changes wall-clock (the crate-private `cache` module gives the
+//! argument).
 
 use crate::budget::{Budget, Gauge};
 use crate::cache::{CacheStats, SessionCaches};
@@ -76,8 +76,7 @@ impl Engine {
     }
 
     /// Zeroes the cache and label-work counters while keeping every
-    /// cached skeleton, decomposition outcome, and warm-start lineage
-    /// warm. Later runs still hit the warm state; only the accounting
+    /// cached decomposition outcome and the warm-start lineage warm. Later runs still hit the warm state; only the accounting
     /// restarts.
     pub fn reset_cache_stats(&self) {
         self.caches.reset_stats();

@@ -21,11 +21,12 @@
 //! required by the paper's Theorem 2.
 
 use crate::budget::{Budget, DegradeEvent, Gauge, Interrupted};
-use crate::cache::{LineageKey, Scratch, SessionCaches};
-use crate::expand::{ExpandFail, ExpandLimits};
+use crate::cache::{LineageKey, SessionCaches};
+use crate::expand::{ExpandFail, ExpandLimits, Expansion};
 use crate::pld::{PldProbe, PldVerdict};
 use std::sync::atomic::{AtomicBool, Ordering};
 use turbosyn_bdd::BddError;
+use turbosyn_graph::maxflow::CutScratch;
 use turbosyn_graph::scc::condensation;
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
 
@@ -225,8 +226,7 @@ impl LabelOutcome {
 /// along the way contributes its original-node set to it. That set is
 /// exactly the label support of this evaluation: the verdict is a
 /// deterministic function of the labels of those nodes (plus `v`'s
-/// direct fanins, which determine `big_l`) — the same invariant the
-/// expansion cache's snapshot validation rests on. The worklist engine
+/// direct fanins, which determine `big_l`). The worklist engine
 /// re-evaluates `v` only when one of these labels rises.
 ///
 /// Budget interruptions abort the whole probe (`Err`) — they never alter
@@ -242,41 +242,56 @@ pub(crate) fn label_candidate(
     stats: &mut LabelStats,
     gauge: &Gauge,
     caches: &SessionCaches,
-    scratch: &mut Scratch,
+    scratch: &mut CutScratch,
     mut deps: Option<&mut Vec<usize>>,
 ) -> Result<i64, Interrupted> {
     // Flow test: K-cut of height <= L(v)?
     stats.cut_tests += 1;
-    let expanded = {
-        let _t = gauge.trace().hot("expand");
-        caches
-            .exp
-            .expansion(c, v, opts.phi, labels, big_l, opts.expand, gauge)?
+    let Some(exp) = build_charged(c, v, big_l, labels, opts, gauge)? else {
+        return Ok(big_l + 1);
     };
-    match expanded {
-        Ok(entry) => {
-            if let Some(d) = deps.as_deref_mut() {
-                d.extend(entry.exp.nodes.iter().map(|n| n.orig));
-            }
-            let cut = {
-                let _t = gauge.trace().hot("flow.min_cut");
-                entry.min_cut(opts.k, scratch)
-            };
-            if cut.is_some() {
-                return Ok(big_l);
-            }
-            if opts.resynthesis {
-                stats.resyn_attempts += 1;
-                if resyn_realization(c, v, big_l, labels, opts, gauge, caches, scratch, deps)?
-                    .is_some()
-                {
-                    stats.resyn_successes += 1;
-                    return Ok(big_l);
-                }
-            }
-            Ok(big_l + 1)
+    if let Some(d) = deps.as_deref_mut() {
+        d.extend(exp.nodes.iter().map(|n| n.orig));
+    }
+    let cut = {
+        let _t = gauge.trace().hot("flow.min_cut");
+        exp.min_cut_in(opts.k, scratch)
+    };
+    if cut.is_some() {
+        return Ok(big_l);
+    }
+    if opts.resynthesis {
+        stats.resyn_attempts += 1;
+        if resyn_realization(c, v, big_l, labels, exp, opts, gauge, caches, scratch, deps)?
+            .is_some()
+        {
+            stats.resyn_successes += 1;
+            return Ok(big_l);
         }
-        Err(ExpandFail::PiMustBeInside) => Ok(big_l + 1),
+    }
+    Ok(big_l + 1)
+}
+
+/// Builds `E_v` at `height` and charges its node count to the gauge;
+/// `Ok(None)` when the expansion fails (a PI must be inside the cone).
+fn build_charged(
+    c: &Circuit,
+    v: usize,
+    height: i64,
+    labels: &[i64],
+    opts: &LabelOptions,
+    gauge: &Gauge,
+) -> Result<Option<Expansion>, Interrupted> {
+    let built = {
+        let _t = gauge.trace().hot("expand");
+        Expansion::build(c, v, opts.phi, labels, height, opts.expand)
+    };
+    match built {
+        Ok(exp) => {
+            gauge.charge(exp.nodes.len() as u64)?;
+            Ok(Some(exp))
+        }
+        Err(ExpandFail::PiMustBeInside) => Ok(None),
     }
 }
 
@@ -284,6 +299,11 @@ pub(crate) fn label_candidate(
 /// `L(v) − h` for growing `h`, capped at `Cmax` inputs, each tried for
 /// decomposition to root label `L(v)`. Returns the realization so that
 /// mapping generation can replay the exact same decision.
+///
+/// `flow_exp` is `E_v` at height `L(v)`, already built by the caller's
+/// flow test; it serves as the `h = 0` step and is charged to the gauge
+/// again, so work budgets trip at the same expansion as when every step
+/// was built (and charged) on its own.
 ///
 /// A decomposition that trips the [`LabelOptions::max_bdd_nodes`]
 /// ceiling makes the whole descent give up (`Ok(None)`, with a
@@ -295,41 +315,39 @@ pub(crate) fn resyn_realization(
     v: usize,
     big_l: i64,
     labels: &[i64],
+    flow_exp: Expansion,
     opts: &LabelOptions,
     gauge: &Gauge,
     caches: &SessionCaches,
-    scratch: &mut Scratch,
+    scratch: &mut CutScratch,
     mut deps: Option<&mut Vec<usize>>,
 ) -> Result<Option<crate::seqdecomp::Realization>, Interrupted> {
     // Consecutive descent heights often yield the same min-cut; skip the
     // (expensive) decomposition retry when nothing changed.
     let mut last_cut: Option<Vec<(usize, i64)>> = None;
+    let mut exp = flow_exp;
     for h in 0..64 {
-        let height = big_l - h;
-        let expanded = {
-            let _t = gauge.trace().hot("expand");
-            caches
-                .exp
-                .expansion(c, v, opts.phi, labels, height, opts.expand, gauge)?
-        };
-        let entry = match expanded {
-            Ok(entry) => entry,
-            Err(ExpandFail::PiMustBeInside) => return Ok(None),
-        };
-        if let Some(d) = deps.as_deref_mut() {
-            d.extend(entry.exp.nodes.iter().map(|n| n.orig));
+        if h == 0 {
+            gauge.charge(exp.nodes.len() as u64)?;
+        } else {
+            let Some(next) = build_charged(c, v, big_l - h, labels, opts, gauge)? else {
+                return Ok(None);
+            };
+            exp = next;
+            if let Some(d) = deps.as_deref_mut() {
+                d.extend(exp.nodes.iter().map(|n| n.orig));
+            }
         }
-        let exp = &entry.exp;
         let cut = {
             let _t = gauge.trace().hot("flow.min_cut");
-            entry.min_cut(opts.cmax, scratch)
+            exp.min_cut_in(opts.cmax, scratch)
         };
         let Some(cut) = cut else {
             return Ok(None); // cut-size > Cmax (give up)
         };
         if cut.len() <= opts.k && exp.cut_height(&cut, opts.phi, labels) <= big_l {
             // Narrow enough already (the deeper min-cut shrank below K).
-            return Ok(Some(crate::seqdecomp::Realization::from_cut(exp, c, &cut)));
+            return Ok(crate::seqdecomp::Realization::from_cut(&exp, c, &cut).ok());
         }
         let mut key: Vec<(usize, i64)> = cut
             .iter()
@@ -343,7 +361,7 @@ pub(crate) fn resyn_realization(
         let resyn = {
             let _t = gauge.trace().hot("seqdecomp");
             crate::seqdecomp::resynthesize_cached(
-                exp,
+                &exp,
                 c,
                 &cut,
                 opts.phi,
@@ -449,16 +467,16 @@ pub fn compute_labels_governed(
 /// raise in the previous round. The support of `v`'s last evaluation is
 /// the set recorded by [`label_candidate`]: the original nodes of every
 /// expansion it built, plus `v`'s direct fanins. If none of those labels
-/// rose, the evaluation would replay verbatim (the expansion builds are
-/// deterministic functions of exactly those labels — the expansion
-/// cache's snapshot argument) and produce the same candidate, which by
-/// monotonicity cannot raise `labels[v]` again. Hence the skipped and
-/// unskipped engines raise identical label sets in every round, take the
-/// same number of sweeps, and converge to the same least fixpoint — the
-/// worklist only removes provably-redundant work. Direct fanins alone
-/// would *not* be a sound dirtiness signal: a raise deep inside `v`'s
-/// expansion can flip a flow verdict (by turning a node must-inside)
-/// without touching any direct fanin.
+/// rose, the evaluation would replay verbatim (an expansion's BFS reads
+/// the labels of exactly the nodes it materializes, so each build is a
+/// deterministic function of those labels) and produce the same
+/// candidate, which by monotonicity cannot raise `labels[v]` again.
+/// Hence the skipped and unskipped engines raise identical label sets
+/// in every round, take the same number of sweeps, and converge to the
+/// same least fixpoint — the worklist only removes provably-redundant
+/// work. Direct fanins alone would *not* be a sound dirtiness signal: a
+/// raise deep inside `v`'s expansion can flip a flow verdict (by turning
+/// a node must-inside) without touching any direct fanin.
 ///
 /// ## Warm-started probes
 ///
@@ -827,7 +845,7 @@ type TaskResult = Result<(i64, LabelStats, Vec<usize>), Interrupted>;
 /// filtered pending tasks — not the SCC's node range, so workers stay
 /// evenly loaded even when most members are quiescent. Tasks are split
 /// into contiguous chunks (one per worker), each worker owns a private
-/// [`Scratch`], and results land in per-task slots — so the caller
+/// [`CutScratch`], and results land in per-task slots — so the caller
 /// merges them in deterministic task order regardless of scheduling.
 #[allow(clippy::too_many_arguments)]
 fn run_label_tasks(
@@ -842,7 +860,7 @@ fn run_label_tasks(
     let jobs = opts.jobs.max(1).min(tasks.len());
     let mut results: Vec<Option<TaskResult>> = vec![None; tasks.len()];
     if jobs <= 1 {
-        let mut scratch = Scratch::default();
+        let mut scratch = CutScratch::new();
         for (&(v, big_l), slot) in tasks.iter().zip(results.iter_mut()) {
             let r = run_one_task(
                 c,
@@ -869,7 +887,7 @@ fn run_label_tasks(
         for (tchunk, rchunk) in tasks.chunks(chunk).zip(results.chunks_mut(chunk)) {
             let abort = &abort;
             s.spawn(move || {
-                let mut scratch = Scratch::default();
+                let mut scratch = CutScratch::new();
                 for (&(v, big_l), slot) in tchunk.iter().zip(rchunk.iter_mut()) {
                     if abort.load(Ordering::Relaxed) {
                         return;
@@ -911,7 +929,7 @@ fn run_one_task(
     opts: &LabelOptions,
     gauge: &Gauge,
     caches: &SessionCaches,
-    scratch: &mut Scratch,
+    scratch: &mut CutScratch,
     collect_deps: bool,
 ) -> TaskResult {
     let mut tstats = LabelStats::default();

@@ -121,12 +121,11 @@ pub fn degrade_event_to_json(event: &DegradeEvent) -> Json {
     }
 }
 
-/// Encodes cache counters (totals or a per-request delta).
+/// Encodes cache counters (totals or a per-request delta). The
+/// always-zero expansion counters are left out.
 #[must_use]
 pub fn cache_stats_to_json(stats: &CacheStats) -> Json {
     Json::obj(vec![
-        ("expansion_hits", Json::from(stats.expansion_hits)),
-        ("expansion_misses", Json::from(stats.expansion_misses)),
         ("decomposition_hits", Json::from(stats.decomposition_hits)),
         (
             "decomposition_misses",
@@ -235,18 +234,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_encode_all_counters() {
+    fn cache_stats_encode_the_decomposition_counters() {
         let s = CacheStats {
-            expansion_hits: 1,
-            expansion_misses: 2,
             decomposition_hits: 3,
             decomposition_misses: 4,
+            ..CacheStats::default()
         };
         let j = cache_stats_to_json(&s);
         assert_eq!(
             j.write(),
-            "{\"expansion_hits\":1,\"expansion_misses\":2,\
-             \"decomposition_hits\":3,\"decomposition_misses\":4}"
+            "{\"decomposition_hits\":3,\"decomposition_misses\":4}"
         );
     }
 }

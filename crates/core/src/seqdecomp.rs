@@ -69,17 +69,12 @@ pub struct Realization {
 impl Realization {
     /// A single-LUT realization straight from a K-feasible cut.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cut` has more than 16 nodes — callers only pass
-    /// K-feasible cuts (`K <= 16`), so this is a caller bug, not an input
-    /// condition.
-    pub fn from_cut(exp: &Expansion, c: &Circuit, cut: &[usize]) -> Realization {
-        // SAFETY of the expect: every call site obtains `cut` from
-        // `min_cut(k)` with `k <= 16`, the truth-table limit.
-        let tt = exp
-            .cone_tt(c, cut)
-            .expect("K-feasible cut fits in a truth table");
+    /// [`BddError::TooManyVars`] when `cut` has more than 16 nodes (the
+    /// truth-table limit, see [`Expansion::cone_tt`]).
+    pub fn from_cut(exp: &Expansion, c: &Circuit, cut: &[usize]) -> Result<Realization, BddError> {
+        let tt = exp.cone_tt(c, cut)?;
         let inputs = cut
             .iter()
             .map(|&xi| {
@@ -87,10 +82,10 @@ impl Realization {
                 LutInput::Sequential { orig, weight }
             })
             .collect();
-        Realization {
+        Ok(Realization {
             luts: vec![LutSpec { tt, inputs }],
             root: 0,
-        }
+        })
     }
 
     /// Number of LUTs.
@@ -787,6 +782,42 @@ mod tests {
             .expect("AND decomposes");
         assert!(real.luts.iter().all(|l| l.inputs.len() <= 4));
         assert!(real.lut_count() >= 3);
+    }
+
+    /// A cut wider than the 16-input truth-table limit is a typed error
+    /// from the public `Realization::from_cut`, not a panic.
+    #[test]
+    fn from_cut_rejects_a_seventeen_input_cut() {
+        let mut c = Circuit::new("wide17");
+        let mut layer: Vec<_> = (0..17).map(|i| c.add_input(format!("i{i}"))).collect();
+        let mut n = 0;
+        while layer.len() > 1 {
+            let mut next = Vec::new();
+            for pair in layer.chunks(2) {
+                if let [a, b] = *pair {
+                    n += 1;
+                    next.push(c.add_gate(
+                        format!("g{n}"),
+                        TruthTable::and2(),
+                        vec![Fanin::wire(a), Fanin::wire(b)],
+                    ));
+                } else {
+                    next.push(pair[0]);
+                }
+            }
+            layer = next;
+        }
+        c.add_output("o", Fanin::wire(layer[0]));
+        // Gates at label 2 are all inside a height-2 cut: the 17 PIs.
+        let labels: Vec<i64> = unit_labels(&c).iter().map(|&l| l * 2).collect();
+        let exp = Expansion::build(&c, layer[0].index(), 1, &labels, 2, ExpandLimits::default())
+            .expect("expandable");
+        let cut = exp.min_cut(20).expect("cut exists");
+        assert_eq!(cut.len(), 17, "cut is the 17 PIs");
+        assert_eq!(
+            Realization::from_cut(&exp, &c, &cut).unwrap_err(),
+            BddError::TooManyVars { nvars: 17, max: 16 }
+        );
     }
 
     /// Encoder wire counts other than 1 and 2 are a typed error, not a

@@ -1,6 +1,7 @@
 //! Cache-correctness contract for [`Engine`]: mapping the same circuit
-//! twice through one engine hits the expansion and decomposition caches
-//! on the second pass and still produces an identical report.
+//! twice through one engine replays the probe lineage and hits the
+//! decomposition cache on the second pass, and still produces an
+//! identical report.
 
 use turbosyn::{Engine, MapOptions, MapReport};
 use turbosyn_netlist::{blif, gen};
@@ -20,13 +21,14 @@ fn fingerprint(r: &MapReport) -> (i64, usize, u64, i64, Vec<(i64, bool)>, String
 #[test]
 fn second_run_hits_caches_and_matches_first() {
     // figure1 exercises resynthesis (φ drops 2 → 1 through sequential
-    // decomposition), so both cache layers see traffic.
+    // decomposition), so the decomposition cache sees traffic.
     let c = gen::figure1();
     let engine = Engine::new();
     let opts = MapOptions::default();
 
     let first = engine.turbosyn(&c, &opts).expect("first run maps");
     let after_first = engine.cache_stats();
+    let work_first = engine.label_stats();
     assert!(
         after_first.decomposition_misses > 0,
         "the first run must populate the decomposition cache"
@@ -34,6 +36,7 @@ fn second_run_hits_caches_and_matches_first() {
 
     let second = engine.turbosyn(&c, &opts).expect("second run maps");
     let after_second = engine.cache_stats();
+    let work_second = engine.label_stats().delta_since(work_first);
 
     assert_eq!(
         fingerprint(&second),
@@ -45,8 +48,8 @@ fn second_run_hits_caches_and_matches_first() {
         "second run must hit the decomposition cache: {after_second:?}"
     );
     assert!(
-        after_second.expansion_hits > after_first.expansion_hits,
-        "second run must hit the expansion cache: {after_second:?}"
+        work_second.warm_started_probes > 0,
+        "second run must warm-start its probes: {work_second:?}"
     );
 }
 
@@ -70,10 +73,10 @@ fn engine_matches_stateless_mappers() {
 }
 
 #[test]
-fn structural_change_flushes_expansion_reuse_but_stays_correct() {
-    // Alternating circuits through one engine: the expansion cache is
-    // keyed to a structural fingerprint and must never leak skeletons
-    // from one circuit into another.
+fn structural_change_flushes_per_circuit_state_but_stays_correct() {
+    // Alternating circuits through one engine: the per-circuit state
+    // (probe lineage, infeasible marks) is keyed to a structural
+    // fingerprint and must never leak from one circuit into another.
     let a = gen::figure1();
     let b = gen::fsm(gen::FsmConfig {
         state_bits: 2,

@@ -4,8 +4,8 @@
 
 use std::time::Duration;
 use turbosyn::{
-    report_to_json, turbomap, turbosyn, verify_mapping, Budget, CancelToken, DegradeEvent,
-    MapOptions, SynthesisError,
+    compute_labels_governed, report_to_json, turbomap, turbosyn, verify_mapping, Budget,
+    CancelToken, DegradeEvent, Gauge, LabelOptions, LabelOutcome, MapOptions, SynthesisError,
 };
 use turbosyn_netlist::{blif, gen, Circuit};
 
@@ -171,4 +171,20 @@ fn tiny_work_budget_keeps_best_verified_mapping_or_fails_typed() {
             "got {e}"
         ),
     }
+}
+
+/// The work a label computation charges to its gauge is pinned:
+/// `max_work` budgets trip where the charges say, so handing the flow
+/// test's expansion to the resynthesis descent must charge what
+/// rebuilding it there did.
+#[test]
+fn label_work_charges_are_pinned() {
+    let suite = gen::suite();
+    let bbara = &suite.iter().find(|b| b.name == "bbara").expect("a row");
+    let gauge = Gauge::new(Budget::default());
+    let out = compute_labels_governed(&bbara.circuit, &LabelOptions::turbosyn(5, 1), &gauge)
+        .expect("an unlimited budget never interrupts");
+    assert!(matches!(out, LabelOutcome::Infeasible { .. }));
+    assert_eq!(out.stats().resyn_attempts, 434);
+    assert_eq!(gauge.work(), 62_357, "charged work");
 }

@@ -298,14 +298,14 @@ fn client_map(client: &mut Client, rest: &[String]) -> ExitCode {
     };
     println!(
         "status={} worker={} phi={} luts={} registers={} period={} \
-         expansion_hits={} queue_ms={} run_ms={}",
+         decomposition_hits={} queue_ms={} run_ms={}",
         if response.degraded { "degraded" } else { "ok" },
         response.worker,
         summary("phi"),
         summary("lut_count"),
         summary("register_count"),
         summary("clock_period"),
-        response.cache.expansion_hits,
+        response.cache.decomposition_hits,
         response.queue_ms,
         response.run_ms,
     );

@@ -2,13 +2,13 @@
 //! requests.
 //!
 //! Each worker owns one [`Engine`] for its whole lifetime, so the
-//! expansion-skeleton and decomposition caches built by one request are
-//! live for the next. Jobs are routed by the *circuit fingerprint*
+//! decomposition cache and probe lineage built by one request are live
+//! for the next. Jobs are routed by the *circuit fingerprint*
 //! (FNV-1a over the BLIF text): the same circuit always lands on the
 //! same worker, which guarantees the warm-cache path on resubmission
 //! and — because one engine is only ever driven by its one worker
 //! thread — serializes cache binds per engine, so two different
-//! circuits can never interleave on shared skeleton state.
+//! circuits can never interleave on shared per-circuit state.
 //!
 //! Per-request cache deltas are exact for the same reason: the worker
 //! snapshots its engine's counters before and after the run with no
@@ -329,15 +329,16 @@ mod tests {
             work.push(outcome.work_delta);
         }
         assert_eq!(workers[0], workers[1], "same circuit pins to one worker");
-        // The first run populates the expansion cache (cross-probe hits
-        // can occur even cold); the warm second run stops missing.
+        // The first run populates the decomposition cache; the warm
+        // second run's mapping replay hits it and misses less.
         assert!(
-            deltas[0].expansion_misses > 0,
+            deltas[0].decomposition_misses > 0,
             "cold run misses: {:?}",
             deltas[0]
         );
         assert!(
-            deltas[1].expansion_hits > 0 && deltas[1].expansion_misses < deltas[0].expansion_misses,
+            deltas[1].decomposition_hits > 0
+                && deltas[1].decomposition_misses < deltas[0].decomposition_misses,
             "second run rides the warm cache: {:?} vs {:?}",
             deltas[1],
             deltas[0]
@@ -371,7 +372,7 @@ mod tests {
         )
         .expect("submits");
         rx.recv().expect("replies").result.expect("maps");
-        assert!(pool.worker_stats()[0].cache.expansion_misses > 0);
+        assert!(pool.worker_stats()[0].cache.decomposition_misses > 0);
         assert!(pool.worker_stats()[0].work.sweeps > 0);
         pool.reset_cache_stats();
         assert_eq!(pool.worker_stats()[0].cache, CacheStats::default());

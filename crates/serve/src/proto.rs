@@ -505,10 +505,9 @@ fn opt_u64_field(root: &Json, key: &str) -> Result<Option<u64>, ProtoError> {
 pub fn cache_stats_from_json(j: &Json) -> CacheStats {
     let get = |key: &str| j.get(key).and_then(Json::as_u64).unwrap_or(0);
     CacheStats {
-        expansion_hits: get("expansion_hits"),
-        expansion_misses: get("expansion_misses"),
         decomposition_hits: get("decomposition_hits"),
         decomposition_misses: get("decomposition_misses"),
+        ..CacheStats::default()
     }
 }
 

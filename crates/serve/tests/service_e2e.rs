@@ -34,8 +34,9 @@ fn start(config: ServeConfig) -> (Server, String) {
 #[test]
 fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
     let (server, addr) = start(ServeConfig::default());
-    // figure1 is known to exercise the expansion cache (some circuits
-    // map without any expansion queries and would show empty deltas).
+    // figure1 maps through resynthesis, so it exercises the
+    // decomposition cache (a circuit mapped without resynthesis would
+    // show empty deltas).
     let text = blif::write(&figure1());
 
     // The ground truth: the same engine path the one-shot CLI drives
@@ -64,12 +65,12 @@ fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
     );
     assert_eq!(cold.worker, warm.worker, "fingerprint pins the worker");
     assert!(
-        warm.cache.expansion_hits > 0,
+        warm.cache.decomposition_hits > 0,
         "warm run reports cache hits: {:?}",
         warm.cache
     );
     assert!(
-        warm.cache.expansion_misses < cold.cache.expansion_misses,
+        warm.cache.decomposition_misses < cold.cache.decomposition_misses,
         "warm run misses less: warm {:?} vs cold {:?}",
         warm.cache,
         cold.cache

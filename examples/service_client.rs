@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Submit the paper's Figure 1 circuit twice. The fingerprint router
     // pins both requests to the same worker, so the second run reuses
-    // the expansion skeletons cached by the first.
+    // the decomposition verdicts cached by the first.
     let text = blif::write(&gen::figure1());
     for round in ["cold", "warm"] {
         let response = client.map_blif(&text)?;
@@ -38,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let luts = response.report.get("lut_count").and_then(Json::as_int);
         println!(
             "{round}: worker={} phi={phi:?} luts={luts:?} \
-             expansion hits={} misses={} ({} ms queued, {} ms mapping)",
+             decomposition hits={} misses={} ({} ms queued, {} ms mapping)",
             response.worker,
-            response.cache.expansion_hits,
-            response.cache.expansion_misses,
+            response.cache.decomposition_hits,
+            response.cache.decomposition_misses,
             response.queue_ms,
             response.run_ms,
         );

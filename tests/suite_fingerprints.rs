@@ -5,13 +5,17 @@
 //! reports, so a refactor or optimisation that claims to change nothing
 //! must leave every one of them as it is. TurboMap covers all 16
 //! `gen::suite()` rows (s5378 included); TurboSYN covers kirkman, bbara
-//! and cse, which exercise resynthesis and the `cmax = 15` descent.
+//! and cse, which exercise resynthesis and the `cmax = 15` descent. A
+//! warm-engine arm maps the TurboSYN rows and s5378 twice through one
+//! [`Engine`]: both runs must hash to the same constants, which pins the
+//! contract that a long-lived engine (the serve worker) never changes a
+//! report.
 //!
 //! The runs take seconds in a release build but minutes in a debug one,
 //! so the tests are ignored by default: `cargo test --release --test
 //! suite_fingerprints -- --ignored`.
 
-use turbosyn::{report_to_json, turbomap, turbosyn, MapOptions, MapReport};
+use turbosyn::{report_to_json, turbomap, turbosyn, Engine, MapOptions, MapReport};
 use turbosyn_netlist::{blif, gen};
 
 /// TurboMap fingerprints, one per suite row, in `gen::suite()` order.
@@ -97,5 +101,37 @@ fn turbomap_suite_fingerprints() {
 fn turbosyn_suite_fingerprints() {
     check("turbosyn", &TURBOSYN, |c| {
         turbosyn(c, &MapOptions::default()).expect("maps")
+    });
+}
+
+/// Runs `map` twice; both runs must fingerprint alike.
+fn twice(map: impl Fn() -> MapReport) -> MapReport {
+    let first = map();
+    let second = map();
+    assert_eq!(
+        fingerprint(&first),
+        fingerprint(&second),
+        "a warm rerun changed the report"
+    );
+    second
+}
+
+#[test]
+#[ignore = "release-only: runs TurboSYN on three FSM rows and TurboMap on s5378, twice each"]
+fn warm_engine_runs_match_the_golden_fingerprints() {
+    // One engine for every row: per-circuit state is flushed between
+    // circuits, and the decomposition cache carries across them.
+    let engine = Engine::new();
+    let opts = MapOptions::default();
+    check("warm turbosyn", &TURBOSYN, |c| {
+        twice(|| engine.turbosyn(c, &opts).expect("maps"))
+    });
+    let s5378: Vec<_> = TURBOMAP
+        .iter()
+        .copied()
+        .filter(|r| r.0 == "s5378")
+        .collect();
+    check("warm turbomap", &s5378, |c| {
+        twice(|| engine.turbomap(c, &opts).expect("maps"))
     });
 }
