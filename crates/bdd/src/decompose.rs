@@ -23,7 +23,7 @@ use crate::{Bdd, BddError, Manager};
 /// Maximum bound-set size accepted by the routines in this module.
 /// `2^12` cofactor enumerations is comfortably fast and far beyond any
 /// LUT input count used in practice.
-pub const MAX_BOUND: usize = 12;
+const MAX_BOUND: usize = 12;
 
 /// A disjoint decomposition `f(B, F) = image(encoders(B), F)`.
 #[derive(Debug, Clone)]
@@ -40,13 +40,10 @@ pub struct Decomposition {
     pub multiplicity: usize,
 }
 
-/// Validates a bound set: non-empty, at most [`MAX_BOUND`] variables, no
-/// duplicates.
-///
-/// # Errors
-///
-/// [`BddError::InvalidBoundSet`] naming the violated condition.
-pub fn validate_bound(bound: &[u32]) -> Result<(), BddError> {
+/// Validates a bound set: non-empty, at most `MAX_BOUND` (12) variables,
+/// no duplicates; [`BddError::InvalidBoundSet`] names the violated
+/// condition.
+fn validate_bound(bound: &[u32]) -> Result<(), BddError> {
     if bound.is_empty() {
         return Err(BddError::InvalidBoundSet("bound set must be non-empty"));
     }
@@ -67,7 +64,7 @@ pub fn validate_bound(bound: &[u32]) -> Result<(), BddError> {
 ///
 /// # Panics
 ///
-/// Panics if `bound` is empty, longer than [`MAX_BOUND`], or contains
+/// Panics if `bound` is empty, longer than 12 variables, or contains
 /// duplicates. (Every caller passes a statically well-formed bound set;
 /// the fallible entry point is [`decompose`].)
 pub fn column_multiplicity(m: &mut Manager, f: Bdd, bound: &[u32]) -> usize {
@@ -113,10 +110,7 @@ fn cofactor_classes(m: &mut Manager, f: Bdd, bound: &[u32]) -> (Vec<usize>, usiz
 /// # Errors
 ///
 /// [`BddError::InvalidBoundSet`] / [`BddError::InvalidWireCount`] /
-/// [`BddError::FreshVarCollision`] on malformed arguments, and
-/// [`BddError::NodeLimit`] if the manager's node ceiling is crossed while
-/// building encoders or the image (the caller should fall back to an
-/// unresynthesized realization).
+/// [`BddError::FreshVarCollision`] on malformed arguments.
 pub fn decompose(
     m: &mut Manager,
     f: Bdd,
@@ -137,7 +131,6 @@ pub fn decompose(
         }
     }
 
-    m.check_budget()?;
     let (class_of, mu, reps) = cofactor_classes(m, f, bound);
     if mu > (1usize << wires) {
         return Ok(None);
@@ -155,7 +148,6 @@ pub fn decompose(
     let mut encoders = vec![m.zero(); needed];
     let mut assign: Vec<(u32, bool)> = bound.iter().map(|&v| (v, false)).collect();
     for (b, &class) in class_of.iter().enumerate() {
-        m.check_budget()?;
         for (j, slot) in assign.iter_mut().enumerate() {
             slot.1 = (b >> j) & 1 == 1;
         }
@@ -177,7 +169,6 @@ pub fn decompose(
     let encoder_vars: Vec<u32> = (0..needed as u32).map(|j| fresh_base + j).collect();
     let mut image = m.zero();
     for code in 0..(1usize << needed) {
-        m.check_budget()?;
         let rep = reps[if code < mu { code } else { 0 }];
         let mut minterm = m.one();
         for (j, &zv) in encoder_vars.iter().enumerate() {
@@ -379,21 +370,6 @@ mod tests {
         let f = m.and(x0, x1);
         let r = decompose(&mut m, f, &[0], 1, 1);
         assert!(matches!(r, Err(BddError::FreshVarCollision { var: 1 })));
-    }
-
-    #[test]
-    fn node_ceiling_aborts_decomposition() {
-        let mut m = Manager::new();
-        // An 8-variable majority-ish function with a 6-variable bound set
-        // needs room for minterms and image terms; a tiny ceiling trips.
-        let mut f = m.zero();
-        for v in 0..8 {
-            let x = m.var(v);
-            f = m.xor(f, x);
-        }
-        m.set_node_limit(Some(m.len()));
-        let r = decompose(&mut m, f, &[0, 1, 2, 3, 4, 5], 1, 20);
-        assert!(matches!(r, Err(BddError::NodeLimit { .. })));
     }
 
     /// Random 5-variable functions: whenever decomposition succeeds,

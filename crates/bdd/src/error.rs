@@ -2,13 +2,9 @@
 
 use std::fmt;
 
-/// Errors surfaced by fallible BDD operations.
-///
-/// The package distinguishes *caller bugs* (malformed bound sets, colliding
-/// fresh variables) from *resource exhaustion* ([`BddError::NodeLimit`],
-/// [`BddError::TooManyVars`]). Resource exhaustion is an expected outcome
-/// on adversarial inputs: the synthesis engine catches it and degrades to a
-/// non-resynthesized mapping instead of aborting.
+/// Errors surfaced by fallible BDD operations: malformed decomposition
+/// arguments (bound sets, fresh variables, wire counts) and truth-table
+/// conversions beyond the flat representation's variable limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BddError {
     /// A truth-table conversion was asked for more variables than the flat
@@ -18,14 +14,6 @@ pub enum BddError {
         nvars: u32,
         /// The largest supported count.
         max: u32,
-    },
-    /// The manager grew past its configured node ceiling
-    /// ([`crate::Manager::set_node_limit`]).
-    NodeLimit {
-        /// Nodes currently in the manager.
-        nodes: usize,
-        /// The configured ceiling.
-        limit: usize,
     },
     /// A decomposition bound set was empty, too large, or contained
     /// duplicates.
@@ -45,12 +33,6 @@ impl fmt::Display for BddError {
         match self {
             BddError::TooManyVars { nvars, max } => {
                 write!(f, "truth tables limited to {max} variables (got {nvars})")
-            }
-            BddError::NodeLimit { nodes, limit } => {
-                write!(
-                    f,
-                    "BDD node ceiling exceeded: {nodes} nodes > limit {limit}"
-                )
             }
             BddError::InvalidBoundSet(msg) => write!(f, "invalid bound set: {msg}"),
             BddError::FreshVarCollision { var } => {

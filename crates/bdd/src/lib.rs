@@ -1,10 +1,19 @@
-//! A reduced ordered binary decision diagram (ROBDD) package with the
-//! functional-decomposition operations used by FlowSYN and TurboSYN.
+//! A reduced ordered binary decision diagram (ROBDD) package with exact
+//! functional decomposition.
 //!
 //! The TurboSYN paper resynthesizes the *cut functions* that block a target
-//! clock period using "OBDD based functional decomposition ... since it
-//! shows to be very effective for FPGA mapping" (Section 3.3, citing
-//! FlowSYN \[5\] and Lai–Pan–Pedram \[14\]). This crate provides:
+//! clock period using "OBDD based functional decomposition" (Section 3.3,
+//! citing FlowSYN \[5\] and Lai–Pan–Pedram \[14\]). The mappers in
+//! `turbosyn` decompose on truth tables instead (cut functions have at
+//! most 16 inputs); this crate serves two roles beside them:
+//!
+//! * the **test oracle** of that decomposition: `turbosyn`'s tests replay
+//!   every decision of the truth-table pipeline through [`decompose`]
+//!   and compare the resulting LUT trees;
+//! * the symbolic engine of `turbosyn_netlist::equiv` (combinational and
+//!   bounded sequential equivalence checks).
+//!
+//! It provides:
 //!
 //! * [`Manager`] — a hash-consed ROBDD store with the classic operation
 //!   set: `and`/`or`/`xor`/`not`/[`Manager::ite`], cofactors, composition,
@@ -15,10 +24,10 @@
 //!   column-multiplicity computation (`μ(f, B)` = number of distinct
 //!   cofactors of `f` under assignments to the bound set `B`).
 //!
-//! Functions are small here (cut functions are capped at `Cmax = 15`
-//! inputs in the paper), so the manager favours simplicity over arena
-//! tricks: no complement edges, no garbage collection. Node indices are
-//! append-only and remain valid for the manager's lifetime.
+//! Functions are small here, so the manager favours simplicity over arena
+//! tricks: no complement edges, no garbage collection, no node ceiling.
+//! Node indices are append-only and remain valid for the manager's
+//! lifetime.
 //!
 //! # Example
 //!
@@ -37,13 +46,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod decompose;
-pub mod explore;
 
 mod error;
 mod manager;
 
-pub use cache::DecompCache;
 pub use error::BddError;
 pub use manager::{Bdd, Manager};

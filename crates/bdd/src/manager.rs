@@ -55,7 +55,6 @@ pub struct Manager {
     apply_cache: HashMap<(Op, Bdd, Bdd), Bdd>,
     not_cache: HashMap<Bdd, Bdd>,
     ite_cache: HashMap<(Bdd, Bdd, Bdd), Bdd>,
-    node_limit: Option<usize>,
 }
 
 impl Default for Manager {
@@ -85,44 +84,6 @@ impl Manager {
             apply_cache: HashMap::new(),
             not_cache: HashMap::new(),
             ite_cache: HashMap::new(),
-            node_limit: None,
-        }
-    }
-
-    /// Creates a manager with a node ceiling already installed
-    /// (see [`Manager::set_node_limit`]).
-    pub fn with_node_limit(limit: usize) -> Self {
-        let mut m = Self::new();
-        m.node_limit = Some(limit);
-        m
-    }
-
-    /// Installs (or clears) a soft ceiling on the total node count.
-    ///
-    /// Individual operations stay infallible — they may overshoot the
-    /// ceiling by the size of one operation's result — but
-    /// [`Manager::check_budget`] reports the overrun, and governed callers
-    /// (functional decomposition, cone construction) poll it between
-    /// operations and abort their work instead of spinning.
-    pub fn set_node_limit(&mut self, limit: Option<usize>) {
-        self.node_limit = limit;
-    }
-
-    /// The ceiling installed by [`Manager::set_node_limit`], if any.
-    pub fn node_limit(&self) -> Option<usize> {
-        self.node_limit
-    }
-
-    /// `Err(BddError::NodeLimit)` once the store has grown past the
-    /// configured ceiling; `Ok(())` otherwise (including when no ceiling is
-    /// set).
-    pub fn check_budget(&self) -> Result<(), BddError> {
-        match self.node_limit {
-            Some(limit) if self.nodes.len() > limit => Err(BddError::NodeLimit {
-                nodes: self.nodes.len(),
-                limit,
-            }),
-            _ => Ok(()),
         }
     }
 
@@ -188,9 +149,11 @@ impl Manager {
             return b;
         }
         // SAFETY of the expect: 2^32 nodes would need > 64 GiB of node
-        // storage alone; governed callers install a node ceiling far below
-        // this and poll `check_budget` between operations, and ungoverned
-        // use is bounded by the <= 24-variable truth-table limit.
+        // storage alone, so memory runs out before the index space does.
+        // No node ceiling guards this; the callers (reference
+        // decompositions of at most 16 variables in tests, and
+        // `netlist::equiv`'s equivalence checks) build far smaller
+        // diagrams.
         let b = Bdd(u32::try_from(self.nodes.len()).expect("BDD node space exhausted"));
         self.nodes.push(node);
         self.unique.insert(node, b);
@@ -503,8 +466,7 @@ impl Manager {
     ///
     /// # Errors
     ///
-    /// [`BddError::TooManyVars`] if `nvars > 24`; [`BddError::NodeLimit`]
-    /// if the construction pushes the manager past its node ceiling.
+    /// [`BddError::TooManyVars`] if `nvars > 24`.
     ///
     /// # Panics
     ///
@@ -522,7 +484,7 @@ impl Manager {
             bits.len() * 64 >= need || (!bits.is_empty() && nvars < 6),
             "truth table too short"
         );
-        self.from_tt_sub(nvars, bits, nvars)
+        Ok(self.from_tt_sub(nvars, bits, nvars))
     }
 
     /// Builds the sub-BDD for a `2^width`-entry table over the variables
@@ -530,10 +492,9 @@ impl Manager {
     /// first of those variables. Splits off that variable by striding the
     /// table (tables are tiny, at most `2^24` bits).
     #[allow(clippy::wrong_self_convention)] // private helper of from_truth_table
-    fn from_tt_sub(&mut self, nvars: u32, bits: &[u64], width: u32) -> Result<Bdd, BddError> {
-        self.check_budget()?;
+    fn from_tt_sub(&mut self, nvars: u32, bits: &[u64], width: u32) -> Bdd {
         if width == 0 {
-            return Ok(if bits[0] & 1 == 1 { TRUE } else { FALSE });
+            return if bits[0] & 1 == 1 { TRUE } else { FALSE };
         }
         let var = nvars - width;
         let size = 1usize << width;
@@ -549,9 +510,9 @@ impl Manager {
                 hi_bits[j / 64] |= 1 << (j % 64);
             }
         }
-        let lo = self.from_tt_sub(nvars, &lo_bits, width - 1)?;
-        let hi = self.from_tt_sub(nvars, &hi_bits, width - 1)?;
-        Ok(self.mk(var, lo, hi))
+        let lo = self.from_tt_sub(nvars, &lo_bits, width - 1);
+        let hi = self.from_tt_sub(nvars, &hi_bits, width - 1);
+        self.mk(var, lo, hi)
     }
 
     /// Dumps `f` as a flat truth table over `nvars` variables (same bit
@@ -762,38 +723,6 @@ mod tests {
                 max: Manager::MAX_TT_VARS
             })
         );
-    }
-
-    #[test]
-    fn node_limit_trips_budget_check() {
-        let mut m = Manager::with_node_limit(8);
-        assert!(m.check_budget().is_ok());
-        // Parity over many variables grows one node per variable: push
-        // well past the ceiling.
-        let mut f = m.zero();
-        for v in 0..32 {
-            let x = m.var(v);
-            f = m.xor(f, x);
-        }
-        let err = m.check_budget().expect_err("over the ceiling");
-        assert!(matches!(err, BddError::NodeLimit { limit: 8, .. }));
-        // Clearing the limit clears the verdict.
-        m.set_node_limit(None);
-        assert!(m.check_budget().is_ok());
-    }
-
-    #[test]
-    fn from_truth_table_respects_node_limit() {
-        // 10-variable parity wants ~10 nodes; a ceiling of 4 must abort.
-        let mut bits = vec![0u64; 16];
-        for i in 0..1024usize {
-            if (i.count_ones() & 1) == 1 {
-                bits[i / 64] |= 1 << (i % 64);
-            }
-        }
-        let mut m = Manager::with_node_limit(4);
-        let r = m.from_truth_table(10, &bits);
-        assert!(matches!(r, Err(BddError::NodeLimit { .. })));
     }
 
     #[test]

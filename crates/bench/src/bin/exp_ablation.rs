@@ -1,6 +1,7 @@
 //! Experiment `ablation`: design-choice sensitivity called out in
-//! DESIGN.md — the resynthesis cut-size cap `Cmax` (the paper fixes 15)
-//! and the expanded-circuit sharing slack (our truncation tunable).
+//! DESIGN.md — the resynthesis cut-size cap `Cmax` (the paper fixes 15;
+//! 16 is the widest the truth-table decomposition takes) and the
+//! expanded-circuit sharing slack (our truncation tunable).
 //!
 //! Run: `cargo run --release -p turbosyn-bench --bin exp_ablation`
 
@@ -22,7 +23,7 @@ fn main() {
             "circuit".into(),
             "Cmax=8 Φ".into(),
             "Cmax=15 Φ".into(),
-            "Cmax=24 Φ".into()
+            "Cmax=16 Φ".into()
         ])
     );
     println!("{}", sep(4));
@@ -40,7 +41,7 @@ fn main() {
                 b.name.to_string(),
                 phi(8).to_string(),
                 phi(15).to_string(),
-                phi(24).to_string(),
+                phi(16).to_string(),
             ])
         );
     }

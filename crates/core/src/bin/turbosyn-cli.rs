@@ -17,10 +17,6 @@
 //!       --max-wires <1|2>   decomposition wires (default 1)
 //!       --timeout-ms <N>    wall-clock budget; past it the best verified
 //!                           mapping found so far is emitted (exit code 3)
-//!       --max-bdd-nodes <N> per-decomposition BDD-node ceiling; with it
-//!                           set, decomposition runs on BDDs (without it,
-//!                           cuts of at most 16 inputs are decomposed as
-//!                           truth tables and only wider ones on BDDs)
 //!   -j, --jobs <N>          label-sweep worker threads (default 1; results
 //!                           are identical for every N)
 //!       --min-registers     run exact register minimization
@@ -68,7 +64,6 @@ struct Args {
     algorithm: String,
     max_wires: usize,
     timeout_ms: Option<u64>,
-    max_bdd_nodes: Option<usize>,
     jobs: usize,
     min_registers: bool,
     pack: bool,
@@ -80,7 +75,7 @@ fn usage() -> &'static str {
     "usage: turbosyn-cli [-o out.blif] [--emit-json report.json] \
      [--trace-out trace.json] [-k K] \
      [-a turbosyn|turbomap|flowsyn-s] \
-     [--max-wires 1|2] [--timeout-ms N] [--max-bdd-nodes N] [-j N] \
+     [--max-wires 1|2] [--timeout-ms N] [-j N] \
      [--min-registers] [--no-pack] [--optimize] [--stats] input.blif\n\
      \x20      turbosyn-cli serve [turbosyn-serve options...]"
 }
@@ -95,7 +90,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         algorithm: "turbosyn".into(),
         max_wires: 1,
         timeout_ms: None,
-        max_bdd_nodes: None,
         jobs: 1,
         min_registers: false,
         pack: true,
@@ -140,14 +134,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let v = it.next().ok_or("missing value for --timeout-ms")?;
                 args.timeout_ms = Some(v.parse().map_err(|_| format!("bad timeout: {v}"))?);
             }
-            "--max-bdd-nodes" => {
-                let v = it.next().ok_or("missing value for --max-bdd-nodes")?;
-                let n: usize = v.parse().map_err(|_| format!("bad node count: {v}"))?;
-                if n == 0 {
-                    return Err("--max-bdd-nodes must be positive".into());
-                }
-                args.max_bdd_nodes = Some(n);
-            }
             "-j" | "--jobs" => {
                 let v = it.next().ok_or("missing value for --jobs")?;
                 args.jobs = v.parse().map_err(|_| format!("bad job count: {v}"))?;
@@ -177,14 +163,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn budget_for(args: &Args, cancel: CancelToken) -> Budget {
-    let mut b = Budget::default().with_cancel(cancel);
-    if let Some(ms) = args.timeout_ms {
-        b = b.with_deadline(Duration::from_millis(ms));
+    Budget {
+        deadline: args.timeout_ms.map(Duration::from_millis),
+        cancel,
+        ..Budget::default()
     }
-    if let Some(n) = args.max_bdd_nodes {
-        b = b.with_max_bdd_nodes(n);
-    }
-    b
 }
 
 fn run(
@@ -423,7 +406,6 @@ mod tests {
         assert_eq!(a.emit_json, None);
         assert_eq!(a.trace_out, None);
         assert_eq!(a.timeout_ms, None);
-        assert_eq!(a.max_bdd_nodes, None);
         assert_eq!(a.jobs, 1);
     }
 
@@ -444,8 +426,6 @@ mod tests {
             "2",
             "--timeout-ms",
             "2500",
-            "--max-bdd-nodes",
-            "10000",
             "--jobs",
             "8",
             "--min-registers",
@@ -462,7 +442,6 @@ mod tests {
         assert_eq!(a.algorithm, "turbomap");
         assert_eq!(a.max_wires, 2);
         assert_eq!(a.timeout_ms, Some(2500));
-        assert_eq!(a.max_bdd_nodes, Some(10000));
         assert_eq!(a.jobs, 8);
         assert!(a.min_registers && !a.pack && a.optimize && a.stats);
         assert_eq!(a.input, "in.blif");
@@ -485,8 +464,8 @@ mod tests {
             "non-numeric timeout"
         );
         assert!(
-            args(&["--max-bdd-nodes", "0", "x.blif"]).is_err(),
-            "zero BDD ceiling"
+            args(&["--max-bdd-nodes", "50", "x.blif"]).is_err(),
+            "the BDD ceiling flag is gone"
         );
         assert!(args(&["--jobs", "0", "x.blif"]).is_err(), "zero jobs");
         assert!(args(&["--bogus", "x.blif"]).is_err(), "unknown flag");
@@ -502,10 +481,9 @@ mod tests {
 
     #[test]
     fn budget_reflects_flags() {
-        let a = args(&["--timeout-ms", "100", "--max-bdd-nodes", "50", "x.blif"]).expect("parses");
+        let a = args(&["--timeout-ms", "100", "x.blif"]).expect("parses");
         let b = budget_for(&a, CancelToken::new());
         assert_eq!(b.deadline, Some(Duration::from_millis(100)));
-        assert_eq!(b.max_bdd_nodes, Some(50));
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! Resource governance: budgets, cancellation, and degradation reports.
 //!
 //! The labeling machinery can blow up super-linearly on adversarial loop
-//! structures (wide reconvergent cuts, huge expanded circuits, hostile
-//! decomposition instances). A [`Budget`] puts hard ceilings on that work
-//! and a [`CancelToken`] allows an embedding service (or a Ctrl-C handler)
-//! to stop a run from another thread. Budgets are *polled* at the natural
-//! choke points — once per labeling sweep, once per materialized
-//! expansion, once per BDD operation batch — so overshoot is bounded by
-//! one work item (an expansion is capped by
-//! [`ExpandLimits::max_nodes`](crate::ExpandLimits), a BDD batch by the
-//! manager's own ceiling).
+//! structures (wide reconvergent cuts, huge expanded circuits). A
+//! [`Budget`] puts hard ceilings on that work and a [`CancelToken`]
+//! allows an embedding service (or a Ctrl-C handler) to stop a run from
+//! another thread. Budgets are *polled* at the natural choke points —
+//! once per labeling sweep, once per materialized expansion — so
+//! overshoot is bounded by one work item (an expansion is capped by
+//! [`ExpandLimits::max_nodes`](crate::ExpandLimits); a decomposition
+//! works on a truth table of at most 16 inputs).
 //!
 //! Exhaustion degrades instead of aborting wherever a sound result
 //! exists:
 //!
-//! * a per-node decomposition that trips the BDD ceiling falls back to
-//!   the plain TurboMap label update for that node;
 //! * a deadline (or work budget) expiring mid-binary-search returns the
 //!   best already-proven mapping at the lowest φ whose labels converged,
 //!   tagged with a [`Degradation`] report on
@@ -29,9 +26,8 @@
 //! ([`SynthesisError`](crate::SynthesisError)).
 //!
 //! Budget checks never alter an in-probe decision — they abort the whole
-//! probe — and the per-decomposition BDD ceiling is part of
-//! [`LabelOptions`](crate::LabelOptions), so mapping generation replays
-//! exactly the decisions the (governed) label search made.
+//! probe — so mapping generation replays exactly the decisions the
+//! (governed) label search made.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -73,12 +69,6 @@ pub struct Budget {
     pub deadline: Option<Duration>,
     /// Total expanded-circuit nodes materialized across the φ search.
     pub max_work: Option<u64>,
-    /// Per-decomposition BDD-node ceiling (each resynthesis attempt uses
-    /// a fresh manager, so this bounds a single cut function's
-    /// decomposition, deterministically). Setting it runs every
-    /// decomposition on BDDs; without it, cuts of at most 16 inputs are
-    /// decomposed as truth tables, which need no ceiling.
-    pub max_bdd_nodes: Option<usize>,
     /// Labeling sweeps per φ probe; a probe that exceeds it is treated
     /// as infeasible (sound: the search then settles on a higher,
     /// convergent φ).
@@ -104,13 +94,6 @@ impl Budget {
     #[must_use]
     pub fn with_max_work(mut self, nodes: u64) -> Self {
         self.max_work = Some(nodes);
-        self
-    }
-
-    /// Sets the per-decomposition BDD-node ceiling.
-    #[must_use]
-    pub fn with_max_bdd_nodes(mut self, nodes: usize) -> Self {
-        self.max_bdd_nodes = Some(nodes);
         self
     }
 
@@ -153,12 +136,6 @@ impl std::fmt::Display for Interrupted {
 /// One concession the engine made to stay within its [`Budget`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DegradeEvent {
-    /// Decomposition of `node`'s cut function hit the BDD-node ceiling;
-    /// the plain (TurboMap) label update was used for that node instead.
-    BddCeiling {
-        /// Original circuit node whose resynthesis was abandoned.
-        node: usize,
-    },
     /// The wall-clock deadline expired while probing `phi_abandoned`;
     /// the search stopped with the best φ proven so far.
     Deadline {
@@ -191,12 +168,6 @@ pub enum DegradeEvent {
 impl std::fmt::Display for DegradeEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DegradeEvent::BddCeiling { node } => {
-                write!(
-                    f,
-                    "BDD ceiling: node {node} fell back to the plain label update"
-                )
-            }
             DegradeEvent::Deadline { phi_abandoned } => {
                 write!(f, "deadline expired during the phi={phi_abandoned} probe")
             }
@@ -446,8 +417,12 @@ mod tests {
     #[test]
     fn events_deduplicate_and_report() {
         let g = Gauge::new(Budget::default());
-        g.note(DegradeEvent::BddCeiling { node: 7 });
-        g.note(DegradeEvent::BddCeiling { node: 7 });
+        let cap = DegradeEvent::SweepCap {
+            phi: 1,
+            scc_size: 4,
+        };
+        g.note(cap.clone());
+        g.note(cap);
         g.note(DegradeEvent::Deadline { phi_abandoned: 2 });
         let d = g.take_degradation(3).expect("events recorded");
         assert_eq!(d.events.len(), 2);

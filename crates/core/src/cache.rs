@@ -10,9 +10,149 @@
 //! descent (see [`crate::label`]).
 
 use crate::label::{LabelStats, StopRule};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use turbosyn_bdd::cache::DecompCache;
 use turbosyn_netlist::{Circuit, NodeKind};
+
+/// Where a template LUT input comes from, positionally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TemplateInput {
+    /// Index into the original cut (the caller's input order).
+    Cut(usize),
+    /// Output of an earlier LUT of the same template.
+    Lut(usize),
+}
+
+/// One LUT of a cached realization, in circuit-free form: a flat truth
+/// table over positional inputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct TemplateLut {
+    /// Input count of the truth table.
+    pub nvars: u8,
+    /// Truth-table bits, 64 minterms per word (LSB-first).
+    pub bits: Vec<u64>,
+    /// Ordered inputs (truth-table input `i` = `inputs[i]`).
+    pub inputs: Vec<TemplateInput>,
+}
+
+/// A whole cached realization: the LUT tree with `luts[root]` computing
+/// the cut function.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LutTemplate {
+    /// All LUTs; [`TemplateInput::Lut`] references point into this list.
+    pub luts: Vec<TemplateLut>,
+    /// Index of the root LUT.
+    pub root: usize,
+}
+
+/// Canonical signature of one decomposition attempt: everything its
+/// verdict depends on and nothing else.
+///
+/// The pipeline re-sorts the inputs by criticality, and that sort is a
+/// stable function of the deltas, so the table stays in cut order. The
+/// pipeline only ever compares `λ_i` against `height − 1` / `height − 2`
+/// and takes maxima, so the deltas `λ_i − height` carry all the timing
+/// information, and signatures hit across probes at different absolute
+/// labels with the same slack profile.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SignatureKey {
+    /// Input count of the cut function.
+    pub nvars: u8,
+    /// Truth table of the cut function in cut order.
+    pub tt: Vec<u64>,
+    /// Per-input criticality deltas `λ_i − height`, in cut order.
+    pub deltas: Vec<i64>,
+    /// LUT input bound.
+    pub k: u8,
+    /// Encoder wires allowed per extraction.
+    pub max_wires: u8,
+}
+
+/// The memoized verdict of one decomposition attempt.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum CachedOutcome {
+    /// A realization meeting the height constraint was found.
+    Realized(LutTemplate),
+    /// No realization exists under these constraints.
+    NoRealization,
+}
+
+/// Thread-safe memo table for decomposition outcomes, with hit/miss
+/// counters. Entries are never evicted individually; once
+/// [`DecompCache::DEFAULT_CAPACITY`] distinct signatures are stored,
+/// further inserts are dropped (the computation still returns its fresh
+/// result — only the memo is skipped, so behaviour is unaffected).
+///
+/// Because the cached value is a pure function of its key, concurrent
+/// workers may race to insert the same entry without affecting results:
+/// whoever wins stores the same value the loser computed.
+#[derive(Debug, Default)]
+pub(crate) struct DecompCache {
+    map: Mutex<HashMap<SignatureKey, CachedOutcome>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl DecompCache {
+    /// Capacity: enough for every distinct cut function of a large run
+    /// while bounding worst-case memory.
+    pub const DEFAULT_CAPACITY: usize = 1 << 16;
+
+    /// Looks up a signature, counting the hit or miss.
+    pub fn get(&self, key: &SignatureKey) -> Option<CachedOutcome> {
+        let got = self
+            .map
+            .lock()
+            .expect("decomp cache poisoned")
+            .get(key)
+            .cloned();
+        let counter = if got.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        got
+    }
+
+    /// Stores an outcome (dropped silently once the cache is full; a
+    /// racing insert of the same key keeps whichever value landed first
+    /// — both are identical by construction).
+    pub fn insert(&self, key: SignatureKey, outcome: CachedOutcome) {
+        let mut map = self.map.lock().expect("decomp cache poisoned");
+        if map.len() >= Self::DEFAULT_CAPACITY && !map.contains_key(&key) {
+            return;
+        }
+        map.entry(key).or_insert(outcome);
+    }
+
+    /// Cache hits observed so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Cache misses observed so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Zeroes the hit/miss counters while keeping every cached entry —
+    /// so an embedding service can report per-request deltas from a
+    /// still-warm cache.
+    pub fn reset_counters(&self) {
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+    }
+
+    /// A snapshot of every stored entry, for tests that replay the
+    /// verdicts through a reference decomposition.
+    #[cfg(test)]
+    pub fn entries(&self) -> Vec<(SignatureKey, CachedOutcome)> {
+        let map = self.map.lock().expect("decomp cache poisoned");
+        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+}
 
 /// Cache performance counters of one engine/session.
 ///
@@ -80,7 +220,6 @@ pub(crate) struct LineageKey {
     pub max_nodes: usize,
     pub cmax: usize,
     pub max_wires: usize,
-    pub max_bdd_nodes: Option<usize>,
 }
 
 /// A warm-start slot: converged labels of a *feasible* probe under one
@@ -146,7 +285,7 @@ impl SessionCaches {
     pub fn new() -> Self {
         SessionCaches {
             fingerprint: Mutex::new(None),
-            decomp: DecompCache::new(),
+            decomp: DecompCache::default(),
             lineage: Mutex::new(Vec::new()),
             infeasible: Mutex::new(Vec::new()),
             label_totals: Mutex::new(LabelStats::default()),
@@ -303,7 +442,6 @@ fn fingerprint(c: &Circuit) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbosyn_bdd::cache::{CachedOutcome, SignatureKey};
     use turbosyn_netlist::gen;
 
     #[test]
@@ -316,7 +454,6 @@ mod tests {
             deltas: vec![0],
             k: 5,
             max_wires: 1,
-            bdd_limit: None,
         };
         assert_eq!(caches.decomp.get(&key), None);
         caches
@@ -342,6 +479,69 @@ mod tests {
         assert_eq!(after.delta_since(CacheStats::default()), after);
         let sum = after + before;
         assert_eq!(sum.decomposition_misses, 1);
+    }
+
+    fn key(tag: u64) -> SignatureKey {
+        SignatureKey {
+            nvars: 2,
+            tt: vec![tag],
+            deltas: vec![-1, -2],
+            k: 4,
+            max_wires: 1,
+        }
+    }
+
+    #[test]
+    fn decomp_cache_counts_hits_and_misses() {
+        let c = DecompCache::default();
+        assert!(c.get(&key(6)).is_none());
+        c.insert(key(6), CachedOutcome::NoRealization);
+        assert_eq!(c.get(&key(6)), Some(CachedOutcome::NoRealization));
+        assert_eq!((c.hits(), c.misses()), (1, 1));
+    }
+
+    #[test]
+    fn decomp_cache_capacity_bounds_inserts() {
+        let c = DecompCache::default();
+        let cap = DecompCache::DEFAULT_CAPACITY as u64;
+        for tag in 0..=cap {
+            c.insert(key(tag), CachedOutcome::NoRealization);
+        }
+        assert_eq!(
+            c.entries().len() as u64,
+            cap,
+            "insert past capacity dropped"
+        );
+        assert!(c.get(&key(cap)).is_none());
+        // Re-inserting a stored key at capacity keeps the first value.
+        let lut = TemplateLut {
+            nvars: 0,
+            bits: vec![0],
+            inputs: vec![],
+        };
+        let realized = CachedOutcome::Realized(LutTemplate {
+            luts: vec![lut],
+            root: 0,
+        });
+        c.insert(key(2), realized);
+        assert_eq!(c.get(&key(2)), Some(CachedOutcome::NoRealization));
+    }
+
+    #[test]
+    fn decomp_cache_concurrent_inserts_are_safe() {
+        let c = DecompCache::default();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let c = &c;
+                scope.spawn(move || {
+                    for i in 0..64 {
+                        c.insert(key(i % 8), CachedOutcome::NoRealization);
+                        let _ = c.get(&key((i + t) % 8));
+                    }
+                });
+            }
+        });
+        assert_eq!(c.entries().len(), 8);
     }
 
     #[test]
@@ -372,7 +572,6 @@ mod tests {
             max_nodes: 64,
             cmax: 4,
             max_wires: 16,
-            max_bdd_nodes: None,
         }
     }
 

@@ -1,7 +1,7 @@
 //! The top-level error surface of the synthesis engine.
 //!
 //! Every public mapper entry point returns [`SynthesisError`], folding
-//! the crate-local error families (BLIF parsing, BDD resource limits,
+//! the crate-local error families (BLIF parsing, truth-table limits,
 //! verification, budgets) into one enum so embedding services can route
 //! failures without downcasting: malformed input, resource exhaustion,
 //! cancellation, and internal bugs are distinct, machine-matchable
@@ -9,7 +9,6 @@
 
 use crate::budget::Interrupted;
 use crate::verify::VerifyError;
-use turbosyn_bdd::BddError;
 use turbosyn_netlist::blif::BlifError;
 
 /// Anything a synthesis run can fail with.
@@ -82,18 +81,6 @@ impl From<BlifError> for SynthesisError {
     }
 }
 
-impl From<BddError> for SynthesisError {
-    fn from(e: BddError) -> Self {
-        match e {
-            BddError::TooManyVars { nvars, max } => SynthesisError::TooManyVars { nvars, max },
-            BddError::NodeLimit { nodes, limit } => SynthesisError::BudgetExceeded {
-                what: format!("BDD ceiling: {nodes} nodes over the limit of {limit}"),
-            },
-            other => SynthesisError::Internal(other.to_string()),
-        }
-    }
-}
-
 impl From<Interrupted> for SynthesisError {
     fn from(i: Interrupted) -> Self {
         match i {
@@ -117,14 +104,6 @@ mod tests {
         let e: SynthesisError = Interrupted::Cancelled.into();
         assert_eq!(e, SynthesisError::Cancelled);
         let e: SynthesisError = Interrupted::DeadlineExpired.into();
-        assert!(matches!(e, SynthesisError::BudgetExceeded { .. }));
-        let e: SynthesisError = BddError::TooManyVars { nvars: 30, max: 24 }.into();
-        assert_eq!(e, SynthesisError::TooManyVars { nvars: 30, max: 24 });
-        let e: SynthesisError = BddError::NodeLimit {
-            nodes: 10,
-            limit: 5,
-        }
-        .into();
         assert!(matches!(e, SynthesisError::BudgetExceeded { .. }));
         let e: SynthesisError = VerifyError::InterfaceMismatch.into();
         assert!(matches!(e, SynthesisError::Verify(_)));

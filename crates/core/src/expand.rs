@@ -17,8 +17,8 @@
 //! tests cross-check label optimality against brute force on small
 //! circuits.
 
+use crate::error::SynthesisError;
 use std::collections::HashMap;
-use turbosyn_bdd::{Bdd, BddError, Manager};
 use turbosyn_graph::maxflow::{unit_vertex_cut, CutScratch, Role, VertexCut};
 use turbosyn_netlist::tt::{TruthTable, MAX_VARS};
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
@@ -218,84 +218,22 @@ impl Expansion {
         }
     }
 
-    /// Computes the cut function: the root's value as a function of the
-    /// cut nodes (BDD variable `i` = cut node `cut[i]`).
+    /// Computes the cut function: the root's value as a flat truth table
+    /// over the cut nodes (input `i` = `cut[i]`), built gate by gate.
+    ///
+    /// # Errors
+    ///
+    /// [`SynthesisError::TooManyVars`] when the cut has more than 16 nodes
+    /// (the [`TruthTable`] representation caps out at 16 inputs).
     ///
     /// # Panics
     ///
     /// Panics if `cut` does not actually separate the root from all leaves
     /// (i.e. the interior walk reaches an unexpanded node), or if the
     /// interior contains a non-gate.
-    pub fn cone_bdd(&self, c: &Circuit, cut: &[usize], m: &mut Manager) -> Bdd {
-        let mut var_of: HashMap<usize, u32> = HashMap::new();
-        for (i, &xi) in cut.iter().enumerate() {
-            var_of.insert(xi, i as u32);
-        }
-        let mut memo: HashMap<usize, Bdd> = HashMap::new();
-        self.cone_rec(c, 0, &var_of, &mut memo, m)
-    }
-
-    fn cone_rec(
-        &self,
-        c: &Circuit,
-        xi: usize,
-        var_of: &HashMap<usize, u32>,
-        memo: &mut HashMap<usize, Bdd>,
-        m: &mut Manager,
-    ) -> Bdd {
-        if let Some(&v) = var_of.get(&xi) {
-            // Root may itself be listed? Never: the root is the sink.
-            return m.var(v);
-        }
-        if let Some(&b) = memo.get(&xi) {
-            return b;
-        }
-        assert!(
-            self.expanded[xi],
-            "cut does not separate the root: reached leaf {:?}",
-            self.nodes[xi]
-        );
-        let orig = self.nodes[xi].orig;
-        let NodeKind::Gate(tt) = &c.node(NodeId::from_index(orig)).kind else {
-            panic!("interior node {:?} is not a gate", self.nodes[xi]);
-        };
-        let fan: Vec<Bdd> = self.fanins[xi]
-            .iter()
-            .map(|&ci| self.cone_rec(c, ci, var_of, memo, m))
-            .collect();
-        // Sum-of-minterms composition of the gate function over fanin BDDs.
-        let mut out = m.zero();
-        for idx in 0..(1u32 << fan.len()) {
-            if tt.eval(idx) {
-                let mut term = m.one();
-                for (i, &fb) in fan.iter().enumerate() {
-                    let lit = if (idx >> i) & 1 == 1 { fb } else { m.not(fb) };
-                    term = m.and(term, lit);
-                    if term == m.zero() {
-                        break;
-                    }
-                }
-                out = m.or(out, term);
-            }
-        }
-        memo.insert(xi, out);
-        out
-    }
-
-    /// Cut function as a flat truth table (input `i` = `cut[i]`), built
-    /// gate by gate on truth tables.
-    ///
-    /// # Errors
-    ///
-    /// [`BddError::TooManyVars`] when the cut has more than 16 nodes
-    /// (the [`TruthTable`] representation caps out at 16 inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Expansion::cone_bdd`].
-    pub fn cone_tt(&self, c: &Circuit, cut: &[usize]) -> Result<TruthTable, BddError> {
+    pub fn cone_tt(&self, c: &Circuit, cut: &[usize]) -> Result<TruthTable, SynthesisError> {
         if cut.len() > usize::from(MAX_VARS) {
-            return Err(BddError::TooManyVars {
+            return Err(SynthesisError::TooManyVars {
                 nvars: cut.len() as u32,
                 max: u32::from(MAX_VARS),
             });

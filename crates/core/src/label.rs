@@ -25,7 +25,6 @@ use crate::cache::{LineageKey, SessionCaches};
 use crate::expand::{ExpandFail, ExpandLimits, Expansion};
 use crate::pld::{PldProbe, PldVerdict};
 use std::sync::atomic::{AtomicBool, Ordering};
-use turbosyn_bdd::BddError;
 use turbosyn_graph::maxflow::CutScratch;
 use turbosyn_graph::scc::condensation;
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
@@ -56,7 +55,11 @@ pub struct LabelOptions {
     pub stop: StopRule,
     /// Expansion truncation limits.
     pub expand: ExpandLimits,
-    /// Cut-size cap for resynthesis min-cuts (the paper uses 15).
+    /// Cut-size cap for resynthesis min-cuts (the paper uses 15). Cut
+    /// functions are decomposed as truth tables of at most 16 inputs, so
+    /// a resynthesis cut wider than 16 ends the descent as "no
+    /// realization"; [`MapOptions`](crate::MapOptions) rejects
+    /// `cmax > 16` outright.
     pub cmax: usize,
     /// Maximum encoding wires per extraction: 1 = the paper's
     /// single-output decomposition; 2 = the Roth–Karp multi-output
@@ -66,11 +69,6 @@ pub struct LabelOptions {
     /// technique): re-realize resynthesized roots as plain cuts at relaxed
     /// heights where consumer budgets allow.
     pub relax: bool,
-    /// Per-decomposition BDD-node ceiling; a resynthesis attempt that
-    /// exceeds it falls back to the plain label update. Part of the
-    /// options (not the run-scoped gauge) so mapping generation replays
-    /// the exact decisions the label search made.
-    pub max_bdd_nodes: Option<usize>,
     /// Worker threads for the per-sweep label updates. `1` (the default)
     /// runs serially; any value produces bit-identical labels — within a
     /// sweep every candidate is computed from the *frozen* previous-sweep
@@ -103,7 +101,6 @@ impl LabelOptions {
             cmax: 15,
             max_wires: 1,
             relax: true,
-            max_bdd_nodes: None,
             jobs: 1,
             full_sweeps: false,
             warm_start: true,
@@ -305,10 +302,9 @@ fn build_charged(
 /// again, so work budgets trip at the same expansion as when every step
 /// was built (and charged) on its own.
 ///
-/// A decomposition that trips the [`LabelOptions::max_bdd_nodes`]
-/// ceiling makes the whole descent give up (`Ok(None)`, with a
-/// [`DegradeEvent::BddCeiling`] noted): deeper descents only grow the
-/// cut function, so retrying below a blown ceiling is pointless.
+/// A decomposition error (a cut wider than 16 inputs, or a bound-set
+/// window wider than [`MAX_BOUND`](crate::seqdecomp::MAX_BOUND) at
+/// K >= 13) ends the descent as "no realization" rather than aborting.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resyn_realization(
     c: &Circuit,
@@ -369,22 +365,12 @@ pub(crate) fn resyn_realization(
                 big_l,
                 opts.k,
                 opts.max_wires,
-                opts.max_bdd_nodes,
                 &caches.decomp,
             )
         };
         match resyn {
             Ok(Some(r)) => return Ok(Some(r)),
             Ok(None) => {}
-            Err(BddError::NodeLimit { .. }) => {
-                // Graceful degradation: this node keeps the plain TurboMap
-                // update; the mapping stays valid at a possibly higher φ.
-                gauge.note(DegradeEvent::BddCeiling { node: v });
-                return Ok(None);
-            }
-            // The one argument error reachable here is a bound-set window
-            // wider than `MAX_BOUND` (K >= 13); it ends the descent as "no
-            // realization" rather than aborting.
             Err(_) => return Ok(None),
         }
     }
@@ -540,7 +526,6 @@ fn lineage_key(opts: &LabelOptions) -> LineageKey {
         max_nodes: opts.expand.max_nodes,
         cmax: opts.cmax,
         max_wires: opts.max_wires,
-        max_bdd_nodes: opts.max_bdd_nodes,
     }
 }
 

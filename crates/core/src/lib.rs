@@ -13,9 +13,8 @@
 //! 1. **Sequential functional decomposition** ([`seqdecomp`]): when no
 //!    K-feasible cut of the required height exists on the expanded
 //!    circuit ([`expand`]), the cut function is resynthesized by
-//!    functional decomposition (on truth tables for cuts of at most 16
-//!    inputs, on BDDs for wider cuts or under a BDD-node ceiling) so that
-//!    non-critical inputs are buried in extra LUT levels and critical
+//!    functional decomposition (on truth tables of at most 16 inputs) so
+//!    that non-critical inputs are buried in extra LUT levels and critical
 //!    loops break.
 //! 2. **Positive loop detection** ([`pld`]): infeasible φ probes are
 //!    detected by a predecessor-graph isolation test instead of the
@@ -28,10 +27,10 @@
 //! claimed ratio ([`verify`]).
 //!
 //! All mappers run under a resource-governance layer ([`budget`]): a
-//! [`Budget`] caps wall-clock time, expansion work, BDD nodes and
-//! labeling sweeps, a [`CancelToken`] allows cooperative cancellation,
-//! and on exhaustion the engine degrades to the best verified mapping it
-//! can still guarantee (reported via [`Degradation`]) instead of
+//! [`Budget`] caps wall-clock time, expansion work and labeling sweeps,
+//! a [`CancelToken`] allows cooperative cancellation, and on exhaustion
+//! the engine degrades to the best verified mapping it can still
+//! guarantee (reported via [`Degradation`]) instead of
 //! panicking or spinning. Failures surface as typed [`SynthesisError`]s.
 //!
 //! # Quickstart

@@ -63,9 +63,8 @@ pub(crate) fn realize(
     }
     if opts.resynthesis {
         // Replay runs ungoverned: every decision the label search made is
-        // determined by `opts` alone (including `max_bdd_nodes`, which is
-        // part of the options precisely so the replay trips the same BDD
-        // ceilings), so a throwaway unlimited gauge reproduces it exactly.
+        // determined by `opts` alone, so a throwaway unlimited gauge
+        // reproduces it exactly.
         // Sharing the session caches only shortcuts the replay: cached
         // decomposition verdicts are pure functions of their signatures.
         let replay = crate::budget::Gauge::new(crate::budget::Budget::default());

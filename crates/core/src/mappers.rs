@@ -27,6 +27,7 @@ use crate::verify::verify_mapping;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use turbosyn_netlist::kbound::decompose_to_k;
+use turbosyn_netlist::tt::MAX_VARS;
 use turbosyn_netlist::{Circuit, Fanin, NodeId, NodeKind};
 use turbosyn_retime::{mdr_ratio, period_lower_bound, retime_with_pipelining};
 
@@ -39,7 +40,8 @@ pub struct MapOptions {
     pub stop: StopRule,
     /// Expanded-circuit truncation limits.
     pub expand: ExpandLimits,
-    /// Min-cut size cap for resynthesis (the paper uses 15).
+    /// Min-cut size cap for resynthesis (the paper uses 15). At most 16:
+    /// cut functions are decomposed as truth tables of up to 16 inputs.
     pub cmax: usize,
     /// Encoding wires per resynthesis extraction (1 = the paper's
     /// single-output decomposition; 2 = the multi-output extension).
@@ -70,7 +72,7 @@ pub struct MapOptions {
     /// Reports are bit-identical either way.
     pub warm_start: bool,
     /// Resource budget for the whole run: wall clock, expansion work,
-    /// per-decomposition BDD nodes, labeling sweeps, and a cancel token.
+    /// labeling sweeps, and a cancel token.
     /// Defaults to unlimited. On exhaustion the mappers degrade to the
     /// best already-verified mapping (reported via
     /// [`MapReport::degradation`]) or fail with a typed
@@ -123,7 +125,6 @@ impl MapOptions {
             cmax: self.cmax,
             max_wires: self.max_wires,
             relax: self.relax,
-            max_bdd_nodes: self.budget.max_bdd_nodes,
             jobs: self.jobs,
             full_sweeps: self.full_sweeps,
             warm_start: self.warm_start,
@@ -137,6 +138,12 @@ impl MapOptions {
             return Err(SynthesisError::InvalidInput(format!(
                 "K = {} out of the supported range 2..=16",
                 self.k
+            )));
+        }
+        if self.cmax > usize::from(MAX_VARS) {
+            return Err(SynthesisError::InvalidInput(format!(
+                "cmax = {} exceeds the {MAX_VARS}-input truth-table limit",
+                self.cmax
             )));
         }
         if !(1..=2).contains(&self.max_wires) {
@@ -709,6 +716,38 @@ pub(crate) fn flowsyn_s_with(
 mod tests {
     use super::*;
     use turbosyn_netlist::gen;
+
+    /// Out-of-range options are a typed `InvalidInput`, never an internal
+    /// assertion; `cmax` stops at the 16-input truth-table limit.
+    #[test]
+    fn out_of_range_options_are_invalid_input() {
+        let c = gen::figure1();
+        let rows = [
+            MapOptions::with_k(1),
+            MapOptions::with_k(17),
+            MapOptions {
+                max_wires: 3,
+                ..MapOptions::default()
+            },
+            MapOptions {
+                jobs: 0,
+                ..MapOptions::default()
+            },
+            MapOptions {
+                cmax: 17,
+                ..MapOptions::default()
+            },
+        ];
+        for opts in &rows {
+            let err = turbosyn(&c, opts).expect_err("rejected");
+            assert!(matches!(err, SynthesisError::InvalidInput(_)), "{err}");
+        }
+        let widest = MapOptions {
+            cmax: 16,
+            ..MapOptions::default()
+        };
+        assert_eq!(turbosyn(&c, &widest).expect("maps").phi, 1);
+    }
 
     #[test]
     fn figure1_headline() {

@@ -96,10 +96,6 @@ pub fn degradation_to_json(d: &Degradation) -> Json {
 #[must_use]
 pub fn degrade_event_to_json(event: &DegradeEvent) -> Json {
     match event {
-        DegradeEvent::BddCeiling { node } => Json::obj(vec![
-            ("kind", Json::from("bdd_ceiling")),
-            ("node", Json::from(*node)),
-        ]),
         DegradeEvent::Deadline { phi_abandoned } => Json::obj(vec![
             ("kind", Json::from("deadline")),
             ("phi_abandoned", Json::from(*phi_abandoned)),
@@ -179,7 +175,6 @@ mod tests {
     fn degrade_events_encode_structurally() {
         let d = Degradation {
             events: vec![
-                DegradeEvent::BddCeiling { node: 7 },
                 DegradeEvent::Deadline { phi_abandoned: 2 },
                 DegradeEvent::WorkExhausted { phi_abandoned: 3 },
                 DegradeEvent::SweepCap {
@@ -202,15 +197,12 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            [
-                "bdd_ceiling",
-                "deadline",
-                "work_exhausted",
-                "sweep_cap",
-                "pld_anomaly"
-            ]
+            ["deadline", "work_exhausted", "sweep_cap", "pld_anomaly"]
         );
-        assert_eq!(events[0].get("node").and_then(Json::as_int), Some(7));
+        assert_eq!(
+            events[0].get("phi_abandoned").and_then(Json::as_int),
+            Some(2)
+        );
     }
 
     #[test]

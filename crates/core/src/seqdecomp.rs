@@ -17,21 +17,29 @@
 //! encoding wire), or a Roth–Karp step with two wires. The result is a
 //! [`Realization`]: the LUT tree that mapping generation will instantiate.
 //!
-//! The paper decomposes with OBDDs. Here a cut function of at most 16
-//! inputs is built and decomposed as a bit-parallel truth table: the
-//! bound set is swapped to the top variables, so every cofactor column is
-//! a contiguous slice of the table. BDDs are used for wider cuts and
-//! whenever a BDD-node ceiling is set, since a ceiling counts BDD nodes.
-//! The window search (`decompose_template`) exists once and drives
-//! either backend through the `CutFunction` trait, so both take the same
-//! decisions; tests compare them template for template.
+//! The paper decomposes with OBDDs, on cut functions of at most
+//! `Cmax = 15` inputs. Here the cut function is a bit-parallel truth table
+//! of at most 16 inputs: the bound set is swapped to the top variables,
+//! so every cofactor column is a contiguous slice of the table, and
+//! cofactor classes are found by comparing slices. A cut wider than 16
+//! inputs has no table and no realization. The window search
+//! (`decompose_template`) drives the function through the `CutFunction`
+//! trait; the tests plug an OBDD implementation (`turbosyn-bdd`) into the
+//! same trait as a reference and compare every decision with it.
 
+use crate::cache::{
+    CachedOutcome, DecompCache, LutTemplate, SignatureKey, TemplateInput, TemplateLut,
+};
+use crate::error::SynthesisError;
 use crate::expand::{ExpNode, Expansion};
-use turbosyn_bdd::cache::{CachedOutcome, LutTemplate, SignatureKey, TemplateInput, TemplateLut};
-use turbosyn_bdd::decompose::{decompose, recompose, validate_bound};
-use turbosyn_bdd::{Bdd, BddError, DecompCache, Manager};
-use turbosyn_netlist::tt::{TruthTable, MAX_VARS};
+use turbosyn_netlist::tt::TruthTable;
 use turbosyn_netlist::Circuit;
+
+/// Largest bound set an extraction accepts: `2^12` cofactor columns are
+/// compared at most, far beyond any LUT input count used in practice.
+/// The window search tries windows of up to K members, so K >= 13 can
+/// meet this limit.
+pub const MAX_BOUND: usize = 12;
 
 /// Where a LUT input comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,19 +79,19 @@ impl Realization {
     ///
     /// # Errors
     ///
-    /// [`BddError::TooManyVars`] when `cut` has more than 16 nodes (the
-    /// truth-table limit, see [`Expansion::cone_tt`]).
-    pub fn from_cut(exp: &Expansion, c: &Circuit, cut: &[usize]) -> Result<Realization, BddError> {
+    /// [`SynthesisError::TooManyVars`] when `cut` has more than 16 nodes
+    /// (the truth-table limit, see [`Expansion::cone_tt`]).
+    pub fn from_cut(
+        exp: &Expansion,
+        c: &Circuit,
+        cut: &[usize],
+    ) -> Result<Realization, SynthesisError> {
         let tt = exp.cone_tt(c, cut)?;
-        let inputs = cut
-            .iter()
-            .map(|&xi| {
-                let ExpNode { orig, weight } = exp.nodes[xi];
-                LutInput::Sequential { orig, weight }
-            })
-            .collect();
         Ok(Realization {
-            luts: vec![LutSpec { tt, inputs }],
+            luts: vec![LutSpec {
+                tt,
+                inputs: cut_srcs(exp, cut),
+            }],
             root: 0,
         })
     }
@@ -102,15 +110,12 @@ impl Realization {
 /// input signal to carry label `<= height − 1`.
 ///
 /// `k` bounds every LUT's input count. Deterministic and exact: every
-/// extraction is verified by recomposition, and the final tree recomposes
-/// to the original cut function.
+/// extraction is a cofactor-class split of the table, and the final tree
+/// recomposes to the original cut function.
 ///
 /// # Errors
 ///
-/// [`BddError::NodeLimit`] when `bdd_limit` is `Some` and the
-/// decomposition exceeded it — the caller should fall back to the plain
-/// label update (the mappers record a
-/// [`DegradeEvent::BddCeiling`](crate::DegradeEvent::BddCeiling)).
+/// Same contract as [`resynthesize_wires`].
 pub fn resynthesize(
     exp: &Expansion,
     c: &Circuit,
@@ -119,29 +124,22 @@ pub fn resynthesize(
     labels: &[i64],
     height: i64,
     k: usize,
-) -> Result<Option<Realization>, BddError> {
-    resynthesize_wires(exp, c, cut, phi, labels, height, k, 1, None)
+) -> Result<Option<Realization>, SynthesisError> {
+    resynthesize_wires(exp, c, cut, phi, labels, height, k, 1)
 }
 
 /// Like [`resynthesize`], but allowing up to `max_wires` encoding
-/// functions per extraction (Roth–Karp) and an optional BDD-node ceiling
-/// `bdd_limit`. The paper uses single-output decomposition
-/// (`max_wires = 1`) and cites multi-output decomposition \[26\] as future
-/// work; `max_wires = 2` implements that extension: bound sets with
-/// column multiplicity up to 4 become two encoder LUTs feeding the root,
-/// trading LUT count for coverable cases.
-///
-/// Cuts of at most 16 inputs are decomposed on truth tables. Wider cuts,
-/// and every call with a `bdd_limit`, run on a fresh (per-call) BDD
-/// manager; both take the same decisions.
+/// functions per extraction (Roth–Karp). The paper uses single-output
+/// decomposition (`max_wires = 1`) and cites multi-output decomposition
+/// \[26\] as future work; `max_wires = 2` implements that extension: bound
+/// sets with column multiplicity up to 4 become two encoder LUTs feeding
+/// the root, trading LUT count for coverable cases.
 ///
 /// # Errors
 ///
-/// [`BddError::InvalidWireCount`] unless `max_wires` is 1 or 2, and
-/// [`BddError::NodeLimit`] when the decomposition blew through
-/// `bdd_limit`. Because the manager is created fresh here, the outcome is
-/// deterministic in the inputs and the limit — mapping generation replays
-/// the exact same verdicts the label search saw.
+/// [`SynthesisError::InvalidInput`] unless `max_wires` is 1 or 2, or when
+/// a bound-set window exceeds [`MAX_BOUND`] (K >= 13), and
+/// [`SynthesisError::TooManyVars`] when `cut` has more than 16 inputs.
 #[allow(clippy::too_many_arguments)]
 pub fn resynthesize_wires(
     exp: &Expansion,
@@ -152,40 +150,15 @@ pub fn resynthesize_wires(
     height: i64,
     k: usize,
     max_wires: usize,
-    bdd_limit: Option<usize>,
-) -> Result<Option<Realization>, BddError> {
-    check_wires(max_wires)?;
-    if cut.is_empty() {
-        return Ok(None);
-    }
-    let deltas = cut_deltas(exp, cut, phi, labels, height);
-    let template = if bdd_limit.is_none() && cut.len() <= usize::from(MAX_VARS) {
-        let tt = exp.cone_tt(c, cut)?;
-        decompose_template(&mut TtCut::new(tt), &deltas, k, max_wires)?
-    } else {
-        let mut mgr = Manager::new();
-        mgr.set_node_limit(bdd_limit);
-        let f = exp.cone_bdd(c, cut, &mut mgr);
-        // The cone construction itself is not budget-polled (manager ops
-        // are infallible); a blown ceiling is caught here.
-        mgr.check_budget()?;
-        decompose_template(&mut BddCut::new(mgr, f, cut.len()), &deltas, k, max_wires)?
-    };
-    Ok(template.map(|t| instantiate(&t, &cut_srcs(exp, cut))))
+) -> Result<Option<Realization>, SynthesisError> {
+    let scratch = DecompCache::default();
+    resynthesize_cached(exp, c, cut, phi, labels, height, k, max_wires, &scratch)
 }
 
 /// Like [`resynthesize_wires`], but memoized in a [`DecompCache`] keyed
 /// by the canonical cut-function signature (truth table in cut order +
-/// criticality deltas + `k`/`max_wires`/`bdd_limit`).
-///
-/// On a miss the decomposition runs on the truth table itself, or with a
-/// `bdd_limit` on a **fresh manager seeded from the truth table**, so the
-/// cached outcome is a pure function of the key and hit replays are
-/// exact — including [`BddError::NodeLimit`] trips, which are cached with
-/// their original counts. A ceiling trip while building the cone as a
-/// BDD is *not* cached (it happens before the key exists and is cheap to
-/// re-derive). Cuts wider than 16 inputs exceed the flat-truth-table
-/// signature and fall back to the uncached path.
+/// criticality deltas + `k`/`max_wires`). The outcome is a pure function
+/// of the key, so hit replays are exact; argument errors are not cached.
 ///
 /// # Errors
 ///
@@ -200,85 +173,35 @@ pub(crate) fn resynthesize_cached(
     height: i64,
     k: usize,
     max_wires: usize,
-    bdd_limit: Option<usize>,
     cache: &DecompCache,
-) -> Result<Option<Realization>, BddError> {
-    check_wires(max_wires)?;
-    if cut.is_empty() || cut.len() > usize::from(MAX_VARS) {
-        return resynthesize_wires(exp, c, cut, phi, labels, height, k, max_wires, bdd_limit);
+) -> Result<Option<Realization>, SynthesisError> {
+    if !(1..=2).contains(&max_wires) {
+        return Err(SynthesisError::InvalidInput(format!(
+            "{max_wires} encoder wires; 1 or 2 are supported"
+        )));
     }
-    let nvars = cut.len() as u8;
-    let tt = match bdd_limit {
-        None => exp.cone_tt(c, cut)?,
-        // Under a ceiling the cone is built as a BDD, because a trip
-        // there is part of the verdict.
-        Some(_) => {
-            let mut cone_mgr = Manager::new();
-            cone_mgr.set_node_limit(bdd_limit);
-            let f = exp.cone_bdd(c, cut, &mut cone_mgr);
-            cone_mgr.check_budget()?;
-            TruthTable::from_bits(nvars, &cone_mgr.to_truth_table(f, u32::from(nvars))?)
-        }
-    };
+    if cut.is_empty() {
+        return Ok(None);
+    }
+    let tt = exp.cone_tt(c, cut)?;
     let key = SignatureKey {
-        nvars,
+        nvars: tt.nvars(),
         tt: tt.bits().to_vec(),
         deltas: cut_deltas(exp, cut, phi, labels, height),
         k: k as u8,
         max_wires: max_wires as u8,
-        bdd_limit,
     };
     let srcs = cut_srcs(exp, cut);
-    if let Some(outcome) = cache.get(&key) {
-        return match outcome {
-            CachedOutcome::Realized(t) => Ok(Some(instantiate(&t, &srcs))),
-            CachedOutcome::NoRealization => Ok(None),
-            CachedOutcome::NodeLimit { nodes, limit } => Err(BddError::NodeLimit { nodes, limit }),
-        };
+    if let Some(hit) = cache.get(&key) {
+        return Ok(realize(&hit, &srcs));
     }
-    match decompose_table(tt, &key.deltas, k, max_wires, bdd_limit) {
-        Ok(Some(t)) => {
-            let r = instantiate(&t, &srcs);
-            cache.insert(key, CachedOutcome::Realized(t));
-            Ok(Some(r))
-        }
-        Ok(None) => {
-            cache.insert(key, CachedOutcome::NoRealization);
-            Ok(None)
-        }
-        Err(BddError::NodeLimit { nodes, limit }) => {
-            cache.insert(key, CachedOutcome::NodeLimit { nodes, limit });
-            Err(BddError::NodeLimit { nodes, limit })
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Rejects encoder wire counts other than 1 and 2.
-fn check_wires(max_wires: usize) -> Result<(), BddError> {
-    if (1..=2).contains(&max_wires) {
-        Ok(())
-    } else {
-        Err(BddError::InvalidWireCount(max_wires))
-    }
-}
-
-/// Decomposes the cut function `tt` on truth tables, or with a
-/// `bdd_limit` on a fresh BDD manager seeded from it under that ceiling.
-fn decompose_table(
-    tt: TruthTable,
-    deltas: &[i64],
-    k: usize,
-    max_wires: usize,
-    bdd_limit: Option<usize>,
-) -> Result<Option<LutTemplate>, BddError> {
-    if bdd_limit.is_none() {
-        return decompose_template(&mut TtCut::new(tt), deltas, k, max_wires);
-    }
-    let mut mgr = Manager::new();
-    mgr.set_node_limit(bdd_limit);
-    let f = mgr.from_truth_table(u32::from(tt.nvars()), tt.bits())?;
-    decompose_template(&mut BddCut::new(mgr, f, deltas.len()), deltas, k, max_wires)
+    let outcome = match decompose_template(&mut TtCut::new(tt), &key.deltas, k, max_wires)? {
+        Some(template) => CachedOutcome::Realized(template),
+        None => CachedOutcome::NoRealization,
+    };
+    let realization = realize(&outcome, &srcs);
+    cache.insert(key, outcome);
+    Ok(realization)
 }
 
 /// Per-cut-input criticality deltas `λ_i − height` (`λ_i = l(u_i) − φ·w_i`),
@@ -304,6 +227,15 @@ fn cut_srcs(exp: &Expansion, cut: &[usize]) -> Vec<LutInput> {
         .collect()
 }
 
+/// The realization a decomposition verdict stands for on concrete cut
+/// inputs `srcs`.
+fn realize(outcome: &CachedOutcome, srcs: &[LutInput]) -> Option<Realization> {
+    match outcome {
+        CachedOutcome::Realized(template) => Some(instantiate(template, srcs)),
+        CachedOutcome::NoRealization => None,
+    }
+}
+
 /// Binds a circuit-free [`LutTemplate`] to the concrete cut inputs.
 fn instantiate(template: &LutTemplate, srcs: &[LutInput]) -> Realization {
     let luts = template
@@ -327,6 +259,28 @@ fn instantiate(template: &LutTemplate, srcs: &[LutInput]) -> Realization {
     }
 }
 
+/// Rejects a bound set that is empty, wider than [`MAX_BOUND`], or
+/// names a variable twice.
+fn validate_bound(bound: &[u32]) -> Result<(), SynthesisError> {
+    let invalid = |why: &str| Err(SynthesisError::InvalidInput(format!("bound set {why}")));
+    if bound.is_empty() {
+        return invalid("must be non-empty");
+    }
+    if bound.len() > MAX_BOUND {
+        return invalid(&format!(
+            "of {} inputs exceeds MAX_BOUND = {MAX_BOUND}",
+            bound.len()
+        ));
+    }
+    let mut sorted = bound.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    if sorted.len() != bound.len() {
+        return invalid("contains duplicates");
+    }
+    Ok(())
+}
+
 /// A cut function under decomposition, seen through the three operations
 /// the window search needs. Variables are numbered as in
 /// [`decompose_template`]: `0..nvars` are the cut inputs, and each
@@ -337,87 +291,19 @@ trait CutFunction {
     fn support(&self) -> Vec<u32>;
 
     /// Tries the disjoint decomposition `f = image(encoders(bound), free)`
-    /// with at most `wires` encoders; `bound` may name variables outside
-    /// the support, as [`decompose`] allows. On success the current function
-    /// becomes the image, and the encoders come back as
-    /// `(fresh variable, table whose input i is bound[i])`, encoder `j`
-    /// being bit `j` of the class code (classes numbered by first
-    /// appearance over the bound assignments, unused codes standing for
-    /// class 0). `Ok(None)` when the column multiplicity exceeds
+    /// with at most `wires` encoders; `bound` is a valid bound set (see
+    /// `validate_bound`) and may name variables outside the support. On
+    /// success the current function becomes the image, and the encoders
+    /// come back as `(fresh variable, table whose input i is bound[i])`,
+    /// encoder `j` being bit `j` of the class code (classes numbered by
+    /// first appearance over the bound assignments, unused codes standing
+    /// for class 0). `None` when the column multiplicity exceeds
     /// `2^wires`.
-    fn try_extract(
-        &mut self,
-        bound: &[u32],
-        wires: usize,
-    ) -> Result<Option<Vec<(u32, TruthTable)>>, BddError>;
+    fn try_extract(&mut self, bound: &[u32], wires: usize) -> Option<Vec<(u32, TruthTable)>>;
 
     /// The current function as a table whose input `i` is `vars[i]`
     /// (`vars` must cover the support).
     fn dump(&self, vars: &[u32]) -> TruthTable;
-}
-
-/// The BDD backend: [`decompose`] on a manager that owns the function.
-struct BddCut {
-    mgr: Manager,
-    f: Bdd,
-    next_var: u32,
-}
-
-impl BddCut {
-    /// `f` over variables `0..nvars`.
-    fn new(mgr: Manager, f: Bdd, nvars: usize) -> Self {
-        BddCut {
-            mgr,
-            f,
-            next_var: nvars as u32,
-        }
-    }
-}
-
-impl CutFunction for BddCut {
-    fn support(&self) -> Vec<u32> {
-        self.mgr.support(self.f)
-    }
-
-    fn try_extract(
-        &mut self,
-        bound: &[u32],
-        wires: usize,
-    ) -> Result<Option<Vec<(u32, TruthTable)>>, BddError> {
-        let Some(dec) = decompose(&mut self.mgr, self.f, bound, wires, self.next_var)? else {
-            return Ok(None);
-        };
-        debug_assert_eq!(recompose(&mut self.mgr, &dec), self.f);
-        let encoders = dec
-            .encoder_vars
-            .iter()
-            .zip(&dec.encoders)
-            .map(|(&var, &enc)| (var, bdd_to_tt(&self.mgr, enc, bound)))
-            .collect();
-        for &var in &dec.encoder_vars {
-            self.next_var = self.next_var.max(var + 1);
-        }
-        self.f = dec.image;
-        Ok(Some(encoders))
-    }
-
-    fn dump(&self, vars: &[u32]) -> TruthTable {
-        bdd_to_tt(&self.mgr, self.f, vars)
-    }
-}
-
-/// Dumps a BDD whose support is within `vars` as a truth table whose
-/// input `i` is `vars[i]`.
-fn bdd_to_tt(mgr: &Manager, f: Bdd, vars: &[u32]) -> TruthTable {
-    assert!(vars.len() <= 16, "LUT function over more than 16 inputs");
-    TruthTable::from_fn(vars.len() as u8, |i| {
-        let max_var = vars.iter().copied().max().unwrap_or(0) as usize;
-        let mut assign = vec![false; max_var + 1];
-        for (j, &v) in vars.iter().enumerate() {
-            assign[v as usize] = (i >> j) & 1 == 1;
-        }
-        mgr.eval(f, &assign)
-    })
 }
 
 /// The truth-table backend: `tt` over positions, position `p` holding
@@ -477,24 +363,14 @@ impl CutFunction for TtCut {
         self.vars.clone()
     }
 
-    fn try_extract(
-        &mut self,
-        bound: &[u32],
-        wires: usize,
-    ) -> Result<Option<Vec<(u32, TruthTable)>>, BddError> {
-        if wires == 0 || wires > 6 {
-            return Err(BddError::InvalidWireCount(wires));
-        }
-        validate_bound(bound)?;
+    fn try_extract(&mut self, bound: &[u32], wires: usize) -> Option<Vec<(u32, TruthTable)>> {
         // Bound set on top: column b is then the cofactor at the bound
         // assignment whose bit j is the value of bound[j].
         let mut moved = self.clone();
         let pos = moved.positions(bound);
         let perm = moved.tt.move_to_top(&pos);
         let free = moved.tt.nvars() - bound.len() as u8;
-        let Some((class_of, reps)) = moved.tt.column_classes(free, 1 << wires) else {
-            return Ok(None);
-        };
+        let (class_of, reps) = moved.tt.column_classes(free, 1 << wires)?;
         let mu = reps.len();
         let needed = (mu.next_power_of_two().trailing_zeros() as usize).max(1);
         let encoders = (0..needed)
@@ -516,7 +392,7 @@ impl CutFunction for TtCut {
             .collect();
         self.next_var += needed as u32;
         self.drop_dead();
-        Ok(Some(encoders))
+        Some(encoders)
     }
 
     fn dump(&self, vars: &[u32]) -> TruthTable {
@@ -535,13 +411,13 @@ impl CutFunction for TtCut {
 /// requires `delta <= −1`). Deterministic in `(f, deltas, k, max_wires)`
 /// alone: the stable criticality sort is keyed on deltas over the initial
 /// cut order, and every extraction verdict is canonical in the function,
-/// whichever [`CutFunction`] backend computes it.
+/// whichever [`CutFunction`] implementation computes it.
 fn decompose_template(
     cut: &mut impl CutFunction,
     deltas: &[i64],
     k: usize,
     max_wires: usize,
-) -> Result<Option<LutTemplate>, BddError> {
+) -> Result<Option<LutTemplate>, SynthesisError> {
     // Current root inputs: (variable, criticality delta, source).
     struct Sig {
         var: u32,
@@ -591,9 +467,10 @@ fn decompose_template(
                 for start in 0..=(buriable - size) {
                     let window = start..start + size;
                     let bound: Vec<u32> = sigs[window.clone()].iter().map(|s| s.var).collect();
-                    // `None`: multiplicity too high for `wires`; errors
-                    // (budget, oversized bound set) end the search.
-                    let Some(encoders) = cut.try_extract(&bound, wires)? else {
+                    // An oversized bound set ends the search; `None`:
+                    // multiplicity too high for `wires`.
+                    validate_bound(&bound)?;
+                    let Some(encoders) = cut.try_extract(&bound, wires) else {
                         continue;
                     };
                     // New signals sit one LUT level above their worst member.
@@ -683,7 +560,9 @@ pub fn eval_realization(r: &Realization, value_of: &dyn Fn(usize, i64) -> bool) 
 mod tests {
     use super::*;
     use crate::expand::ExpandLimits;
-    use turbosyn_bdd::decompose::MAX_BOUND;
+    use crate::{Engine, MapOptions};
+    use turbosyn_bdd::decompose::{decompose, recompose};
+    use turbosyn_bdd::{Bdd, Manager};
     use turbosyn_graph::rng::StdRng;
     use turbosyn_netlist::circuit::Fanin;
     use turbosyn_netlist::gen;
@@ -816,7 +695,12 @@ mod tests {
         assert_eq!(cut.len(), 17, "cut is the 17 PIs");
         assert_eq!(
             Realization::from_cut(&exp, &c, &cut).unwrap_err(),
-            BddError::TooManyVars { nvars: 17, max: 16 }
+            SynthesisError::TooManyVars { nvars: 17, max: 16 }
+        );
+        // Resynthesis of the same cut has no table to decompose either.
+        assert_eq!(
+            resynthesize(&exp, &c, &cut, 1, &labels, 2, 5).unwrap_err(),
+            SynthesisError::TooManyVars { nvars: 17, max: 16 }
         );
     }
 
@@ -831,20 +715,73 @@ mod tests {
             Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
         let cut = exp.min_cut(15).expect("wide cut exists");
         for wires in [0, 3] {
-            let r = resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, wires, None);
-            assert_eq!(r.unwrap_err(), BddError::InvalidWireCount(wires));
-            let cache = DecompCache::new();
-            let r = resynthesize_cached(&exp, &c, &cut, 1, &labels, 2, 5, wires, None, &cache);
-            assert_eq!(r.unwrap_err(), BddError::InvalidWireCount(wires));
+            let r = resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, wires);
+            assert!(matches!(r, Err(SynthesisError::InvalidInput(_))), "{r:?}");
+            let cache = DecompCache::default();
+            let r = resynthesize_cached(&exp, &c, &cut, 1, &labels, 2, 5, wires, &cache);
+            assert!(matches!(r, Err(SynthesisError::InvalidInput(_))), "{r:?}");
         }
     }
 
+    /// The reference implementation: OBDD decomposition, as in the paper,
+    /// on a manager that owns the function.
+    struct BddCut {
+        mgr: Manager,
+        f: Bdd,
+        next_var: u32,
+    }
+
+    impl CutFunction for BddCut {
+        fn support(&self) -> Vec<u32> {
+            self.mgr.support(self.f)
+        }
+
+        fn try_extract(&mut self, bound: &[u32], wires: usize) -> Option<Vec<(u32, TruthTable)>> {
+            let dec = decompose(&mut self.mgr, self.f, bound, wires, self.next_var)
+                .expect("the window search passes valid bound sets")?;
+            debug_assert_eq!(recompose(&mut self.mgr, &dec), self.f);
+            let encoders = dec
+                .encoder_vars
+                .iter()
+                .zip(&dec.encoders)
+                .map(|(&var, &enc)| (var, bdd_to_tt(&self.mgr, enc, bound)))
+                .collect();
+            for &var in &dec.encoder_vars {
+                self.next_var = self.next_var.max(var + 1);
+            }
+            self.f = dec.image;
+            Some(encoders)
+        }
+
+        fn dump(&self, vars: &[u32]) -> TruthTable {
+            bdd_to_tt(&self.mgr, self.f, vars)
+        }
+    }
+
+    /// Dumps a BDD whose support is within `vars` as a truth table whose
+    /// input `i` is `vars[i]`.
+    fn bdd_to_tt(mgr: &Manager, f: Bdd, vars: &[u32]) -> TruthTable {
+        let max_var = vars.iter().copied().max().unwrap_or(0) as usize;
+        TruthTable::from_fn(vars.len() as u8, |i| {
+            let mut assign = vec![false; max_var + 1];
+            for (j, &v) in vars.iter().enumerate() {
+                assign[v as usize] = (i >> j) & 1 == 1;
+            }
+            mgr.eval(f, &assign)
+        })
+    }
+
+    /// `tt` as a BDD over variables `0..tt.nvars()`.
     fn bdd_cut(tt: &TruthTable) -> BddCut {
         let mut mgr = Manager::new();
         let f = mgr
             .from_truth_table(u32::from(tt.nvars()), tt.bits())
             .expect("at most 16 inputs");
-        BddCut::new(mgr, f, usize::from(tt.nvars()))
+        BddCut {
+            mgr,
+            f,
+            next_var: u32::from(tt.nvars()),
+        }
     }
 
     /// A random cut-function-shaped table: a random tree of 2- and
@@ -916,15 +853,13 @@ mod tests {
                 let got = tt.try_extract(&bound, wires);
                 let want = bdd.try_extract(&bound, wires);
                 assert_eq!(got, want, "case {case}: bound {bound:?}, {wires} wires");
-                match want {
-                    Ok(Some(encoders)) => {
-                        extracted += 1;
-                        if encoders.iter().all(|(_, e)| e.is_constant() == Some(false)) {
-                            trivial += 1; // μ = 1: one constant-0 encoder
-                            assert_eq!(encoders.len(), 1);
-                        }
-                    }
-                    _ => break,
+                let Some(encoders) = want else {
+                    break;
+                };
+                extracted += 1;
+                if encoders.iter().all(|(_, e)| e.is_constant() == Some(false)) {
+                    trivial += 1; // μ = 1: one constant-0 encoder
+                    assert_eq!(encoders.len(), 1);
                 }
                 sup = bdd.support();
                 assert_eq!(sorted(tt.support()), sup);
@@ -944,7 +879,7 @@ mod tests {
     }
 
     /// Template differential: the window search gives byte-identical
-    /// templates — and identical errors — on both backends, over random
+    /// templates — and identical errors — on both implementations, over random
     /// cut functions of 6–16 inputs, deltas in −4..=0, K ∈ {4, 5, 6, 13}
     /// and 1 or 2 wires, plus constants and the K = 13 oversized window.
     #[test]
@@ -993,35 +928,64 @@ mod tests {
             }
         }
         // K = 13 with 16 buriable inputs: the first window has 13 > MAX_BOUND
-        // members, which is an error on both backends.
+        // members, which is an error on both implementations.
         let parity = TruthTable::from_fn(16, |i| i.count_ones() % 2 == 1);
         assert!(matches!(
             check(&parity, &[-2; 16], 13, 1),
-            Err(BddError::InvalidBoundSet(_))
+            Err(SynthesisError::InvalidInput(_))
         ));
     }
 
-    /// A starved BDD ceiling surfaces as `Err(NodeLimit)` — the mappers
-    /// turn this into the plain-label-update fallback.
+    /// Whole-suite oracle: every decomposition verdict TurboSYN reaches on
+    /// the 16 suite rows, and on kirkman, bbara and cse with two encoder
+    /// wires, replays identically through the BDD implementation. Run it
+    /// in a release build: `cargo test --release -p turbosyn --lib --
+    /// --ignored suite_decompositions_match_the_bdd_oracle --nocapture`.
     #[test]
-    fn tiny_bdd_ceiling_reports_node_limit() {
-        let c = gen::figure1();
-        let labels: Vec<i64> = unit_labels(&c).iter().map(|&l| l * 2).collect();
-        let root = c.find("g1").expect("exists").index();
-        let exp =
-            Expansion::build(&c, root, 1, &labels, 2, ExpandLimits::default()).expect("expandable");
-        let cut = exp.min_cut(15).expect("wide cut exists");
-        let r = resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, 1, Some(1));
+    #[ignore = "release-only: maps the whole suite with TurboSYN"]
+    fn suite_decompositions_match_the_bdd_oracle() {
+        let engine = Engine::new();
+        let suite = gen::suite();
+        for b in &suite {
+            engine
+                .turbosyn(&b.circuit, &MapOptions::default())
+                .expect("maps");
+        }
+        let two_wires = MapOptions {
+            max_wires: 2,
+            ..MapOptions::default()
+        };
+        for b in suite
+            .iter()
+            .filter(|b| ["kirkman", "bbara", "cse"].contains(&b.name))
+        {
+            engine.turbosyn(&b.circuit, &two_wires).expect("maps");
+        }
+        let entries = engine.caches.decomp.entries();
         assert!(
-            matches!(r, Err(BddError::NodeLimit { .. })),
-            "expected a node-limit trip, got {r:?}"
+            entries.len() < DecompCache::DEFAULT_CAPACITY,
+            "the cache filled up, so some attempts were never recorded"
         );
-        // The same call without a ceiling still succeeds (determinism of
-        // the governed path does not perturb the ungoverned one).
-        assert!(
-            resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, 1, None)
-                .expect("no ceiling")
-                .is_some()
+        let (mut realized, mut unrealized) = (0, 0);
+        for (key, outcome) in &entries {
+            let f = TruthTable::from_bits(key.nvars, &key.tt);
+            let k = usize::from(key.k);
+            let wires = usize::from(key.max_wires);
+            let want = match decompose_template(&mut bdd_cut(&f), &key.deltas, k, wires) {
+                Ok(Some(template)) => CachedOutcome::Realized(template),
+                Ok(None) => CachedOutcome::NoRealization,
+                Err(e) => panic!("{key:?}: {e}"),
+            };
+            assert_eq!(outcome, &want, "{key:?}");
+            match want {
+                CachedOutcome::Realized(_) => realized += 1,
+                CachedOutcome::NoRealization => unrealized += 1,
+            }
+        }
+        assert!(realized > 0 && unrealized > 0, "both verdicts occur");
+        println!(
+            "checked {} signatures: {realized} realized, {unrealized} without realization",
+            entries.len()
         );
     }
 }

@@ -1,8 +1,11 @@
 //! End-to-end exit-code contract for the `turbosyn-cli` binary.
 //!
-//! Exit codes under test: `0` clean success, `2` malformed input, `3`
-//! degraded success (budget hit, best verified mapping emitted), `4`
-//! budget exhausted before any verified mapping existed.
+//! Exit codes under test: `0` clean success, `2` malformed input, `4`
+//! budget exhausted before any verified mapping existed, and (only as
+//! one legal outcome of a racing deadline) `3` degraded success. The
+//! one-shot CLI sets no sweep cap, so its degraded exit has no
+//! deterministic trigger; `turbosyn-serve`'s tests drive that path with
+//! `--max-sweeps`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -95,9 +98,15 @@ fn unreadable_input_exits_two() {
 #[test]
 fn bad_arguments_exit_two() {
     let input = write_temp("args.blif", GOOD_BLIF);
-    let out = run_cli(&["-k", "99", input.to_str().expect("utf-8 path")]);
+    let path = input.to_str().expect("utf-8 path");
+    let out = run_cli(&["-k", "99", path]);
+    assert_eq!(out.status.code(), Some(2));
+    // The BDD-node ceiling is gone with the BDD decomposition path.
+    let out = run_cli(&["--max-bdd-nodes", "50", path]);
     std::fs::remove_file(&input).ok();
     assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option"), "stderr: {stderr}");
 }
 
 #[test]
@@ -128,29 +137,5 @@ fn tight_deadline_exits_cleanly() {
         [0, 3, 4].contains(&code),
         "unexpected exit {code}, stderr: {}",
         String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn bdd_ceiling_degrades_to_exit_three() {
-    // Figure 1 of the paper needs resynthesis to reach φ=1; a one-node BDD
-    // ceiling forces every decomposition attempt to give up, so the run
-    // settles on the plain-label mapping and reports degradation.
-    let c = turbosyn_netlist::gen::figure1();
-    let input = write_temp("figure1.blif", &turbosyn_netlist::blif::write(&c));
-    let out = run_cli(&["--max-bdd-nodes", "1", input.to_str().expect("utf-8 path")]);
-    std::fs::remove_file(&input).ok();
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("degraded"), "stderr: {stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains(".model"),
-        "degraded run still emits a netlist"
     );
 }

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! turbosyn-serve --client ADDR map circuit.blif [-k 5] [-a turbosyn]
-//!                [--timeout-ms N] [--max-bdd-nodes N] [--emit-json out.json]
+//!                [--timeout-ms N] [--max-sweeps N] [--emit-json out.json]
 //! turbosyn-serve --client ADDR stats|ping|shutdown|cancel TARGET
 //! ```
 //!
@@ -46,8 +46,8 @@ daemon:
 client:
   turbosyn-serve --client ADDR map FILE [-k N] [-a turbosyn|turbomap|flowsyn-s]
                  [--max-wires N] [--jobs N] [--no-pack] [--minimize-registers]
-                 [--timeout-ms N] [--max-bdd-nodes N] [--max-work N]
-                 [--max-sweeps N] [--emit-json PATH]
+                 [--timeout-ms N] [--max-work N] [--max-sweeps N]
+                 [--emit-json PATH]
   turbosyn-serve --client ADDR stats
   turbosyn-serve --client ADDR metrics
   turbosyn-serve --client ADDR ping
@@ -264,10 +264,6 @@ fn client_map(client: &mut Client, rest: &[String]) -> ExitCode {
             "--minimize-registers" => request.minimize_registers = true,
             "--timeout-ms" => match parse_flag(args.next(), "--timeout-ms") {
                 Ok(n) => request.timeout_ms = Some(n as u64),
-                Err(code) => return code,
-            },
-            "--max-bdd-nodes" => match parse_flag(args.next(), "--max-bdd-nodes") {
-                Ok(n) => request.max_bdd_nodes = Some(n),
                 Err(code) => return code,
             },
             "--max-work" => match parse_flag(args.next(), "--max-work") {

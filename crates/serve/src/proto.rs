@@ -213,8 +213,6 @@ pub struct MapRequest {
     pub minimize_registers: bool,
     /// Per-request wall-clock budget.
     pub timeout_ms: Option<u64>,
-    /// Per-decomposition BDD-node ceiling.
-    pub max_bdd_nodes: Option<usize>,
     /// Expanded-node work budget.
     pub max_work: Option<u64>,
     /// Labeling sweep cap per φ probe.
@@ -235,7 +233,6 @@ impl MapRequest {
             pack: true,
             minimize_registers: false,
             timeout_ms: None,
-            max_bdd_nodes: None,
             max_work: None,
             max_sweeps: None,
         }
@@ -260,9 +257,6 @@ impl MapRequest {
         pairs.push(("minimize_registers", Json::from(self.minimize_registers)));
         if let Some(ms) = self.timeout_ms {
             pairs.push(("timeout_ms", Json::from(ms)));
-        }
-        if let Some(n) = self.max_bdd_nodes {
-            pairs.push(("max_bdd_nodes", Json::from(n)));
         }
         if let Some(n) = self.max_work {
             pairs.push(("max_work", Json::from(n)));
@@ -382,7 +376,6 @@ const MAP_KEYS: &[&str] = &[
     "pack",
     "minimize_registers",
     "timeout_ms",
-    "max_bdd_nodes",
     "max_work",
     "max_sweeps",
 ];
@@ -411,7 +404,7 @@ fn parse_map(root: &Json, pairs: &[(String, Json)], id: String) -> Result<MapReq
             ))
         }
     };
-    let req = MapRequest {
+    Ok(MapRequest {
         k: usize_field(root, "k", 5, 2..=8)?,
         algorithm: match root.get("algorithm") {
             None => Algorithm::default(),
@@ -425,19 +418,11 @@ fn parse_map(root: &Json, pairs: &[(String, Json)], id: String) -> Result<MapReq
         pack: bool_field(root, "pack", true)?,
         minimize_registers: bool_field(root, "minimize_registers", false)?,
         timeout_ms: opt_u64_field(root, "timeout_ms")?,
-        max_bdd_nodes: opt_u64_field(root, "max_bdd_nodes")?
-            .map(|n| usize::try_from(n).unwrap_or(usize::MAX)),
         max_work: opt_u64_field(root, "max_work")?,
         max_sweeps: opt_u64_field(root, "max_sweeps")?,
         id,
         source,
-    };
-    if req.max_bdd_nodes == Some(0) {
-        return Err(ProtoError::BadFrame(
-            "\"max_bdd_nodes\" must be positive".into(),
-        ));
-    }
-    Ok(req)
+    })
 }
 
 fn reject_unknown_keys(pairs: &[(String, Json)], allowed: &[&str]) -> Result<(), ProtoError> {
@@ -573,7 +558,7 @@ mod tests {
         req.k = 4;
         req.algorithm = Algorithm::TurboMap;
         req.timeout_ms = Some(250);
-        req.max_bdd_nodes = Some(10_000);
+        req.max_sweeps = Some(10_000);
         let line = req.to_json().write();
         match Request::parse(&line).expect("parses") {
             Request::Map(parsed) => assert_eq!(*parsed, req),

@@ -414,9 +414,6 @@ fn submit_and_wait(
     if let Some(ms) = request.timeout_ms {
         budget = budget.with_deadline(Duration::from_millis(ms));
     }
-    if let Some(n) = request.max_bdd_nodes {
-        budget = budget.with_max_bdd_nodes(n);
-    }
     if let Some(n) = request.max_work {
         budget = budget.with_max_work(n);
     }

@@ -58,8 +58,10 @@ fn malformed_frames_map_to_typed_errors() {
             "{\"type\":\"map\",\"id\":\"m\",\"blif\":\"x\",\"timeout_ms\":true}",
             "bad_frame",
         ),
+        // A BDD-node ceiling was once a map field; it is an unknown key
+        // now, whatever its value.
         (
-            "{\"type\":\"map\",\"id\":\"m\",\"blif\":\"x\",\"max_bdd_nodes\":0}",
+            "{\"type\":\"map\",\"id\":\"m\",\"blif\":\"x\",\"max_bdd_nodes\":100000}",
             "bad_frame",
         ),
         (
