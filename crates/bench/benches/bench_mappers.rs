@@ -10,9 +10,12 @@
 //! [`turbosyn_bench::json::BenchFile`]; CI's bench-regression job feeds
 //! that file to the `bench_gate` binary, which compares the
 //! `mappers/*` entries against the committed `BENCH_baseline.json`
-//! (machine-normalized through `calib_ns`). The `jobs/*` entries are
-//! informational — they document thread scaling, which depends on the
-//! runner's core count, so the gate does not threshold them. The
+//! (machine-normalized through `calib_ns`, measured right before and
+//! right after the `mappers/*` section; the smaller reading is recorded,
+//! since load only ever slows the calibration loop). The `jobs/*`
+//! entries are informational — they document thread scaling, which
+//! depends on the runner's core count, so the gate does not threshold
+//! them. The
 //! `phases/*` entries (per-phase trace timing attribution from an
 //! instrumented run) are likewise informational.
 //!
@@ -92,6 +95,7 @@ fn main() {
     let suite = gen::suite();
 
     let pick = ["bbara", "cse", "s420"];
+    let calib_before = turbosyn_bench::calibrate_ns();
     for b in suite.iter().filter(|b| pick.contains(&b.name)) {
         let opts = MapOptions::default();
         let c = &b.circuit;
@@ -105,6 +109,7 @@ fn main() {
             black_box(turbosyn(black_box(c), &opts).expect("maps"));
         });
     }
+    let calib_ns = calib_before.min(turbosyn_bench::calibrate_ns());
 
     // Per-phase attribution: one traced TurboSYN run per pick circuit,
     // with the sink's per-phase nanosecond totals attached as counters
@@ -233,7 +238,7 @@ fn main() {
     }
 
     let file = BenchFile {
-        calib_ns: turbosyn_bench::calibrate_ns(),
+        calib_ns,
         results: rec.results,
     };
     if let Ok(path) = std::env::var("BENCH_JSON") {

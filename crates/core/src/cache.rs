@@ -5,7 +5,9 @@
 //! Decomposition verdicts are pure functions of their signatures, and a
 //! lineage slot or infeasible mark is keyed by everything its probe's
 //! outcome depends on, so sharing this state changes wall-clock, never
-//! results. Expansions are not cached: each label update builds the
+//! results. A probe under a `max_sweeps` budget reads no lineage and
+//! stores no infeasible mark, since its outcome also depends on that
+//! budget (see [`crate::label`]). Expansions are not cached: each label update builds the
 //! expansions it needs and hands the flow test's one to the resynthesis
 //! descent (see [`crate::label`]).
 

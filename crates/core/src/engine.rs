@@ -6,7 +6,9 @@
 //! across calls, so mapping the same (or a structurally similar) circuit
 //! again reuses earlier work. Results are identical either way — caching
 //! only changes wall-clock (the crate-private `cache` module gives the
-//! argument).
+//! argument). That includes runs under a
+//! [`Budget::max_sweeps`](crate::Budget::max_sweeps) cap: their probes read no
+//! lineage, so a warm engine sweeps exactly as a cold one.
 
 use crate::budget::{Budget, Gauge};
 use crate::cache::{CacheStats, SessionCaches};

@@ -22,10 +22,9 @@
 
 use crate::budget::{Budget, DegradeEvent, Gauge, Interrupted};
 use crate::cache::{LineageKey, SessionCaches};
-use crate::expand::{ExpandFail, ExpandLimits, Expansion};
+use crate::expand::{ExpScratch, ExpandFail, ExpandLimits, Expansion, Scratch};
 use crate::pld::{PldProbe, PldVerdict};
 use std::sync::atomic::{AtomicBool, Ordering};
-use turbosyn_graph::maxflow::CutScratch;
 use turbosyn_graph::scc::condensation;
 use turbosyn_netlist::{Circuit, NodeId, NodeKind};
 
@@ -239,12 +238,12 @@ pub(crate) fn label_candidate(
     stats: &mut LabelStats,
     gauge: &Gauge,
     caches: &SessionCaches,
-    scratch: &mut CutScratch,
+    scratch: &mut Scratch,
     mut deps: Option<&mut Vec<usize>>,
 ) -> Result<i64, Interrupted> {
     // Flow test: K-cut of height <= L(v)?
     stats.cut_tests += 1;
-    let Some(exp) = build_charged(c, v, big_l, labels, opts, gauge)? else {
+    let Some(exp) = build_charged(c, v, big_l, labels, opts, gauge, &mut scratch.exp)? else {
         return Ok(big_l + 1);
     };
     if let Some(d) = deps.as_deref_mut() {
@@ -252,16 +251,14 @@ pub(crate) fn label_candidate(
     }
     let cut = {
         let _t = gauge.trace().hot("flow.min_cut");
-        exp.min_cut_in(opts.k, scratch)
+        exp.min_cut_in(opts.k, &mut scratch.cut)
     };
     if cut.is_some() {
         return Ok(big_l);
     }
     if opts.resynthesis {
         stats.resyn_attempts += 1;
-        if resyn_realization(c, v, big_l, labels, exp, opts, gauge, caches, scratch, deps)?
-            .is_some()
-        {
+        if resyn_realization(c, v, big_l, labels, opts, gauge, caches, scratch, deps)?.is_some() {
             stats.resyn_successes += 1;
             return Ok(big_l);
         }
@@ -269,19 +266,22 @@ pub(crate) fn label_candidate(
     Ok(big_l + 1)
 }
 
-/// Builds `E_v` at `height` and charges its node count to the gauge;
-/// `Ok(None)` when the expansion fails (a PI must be inside the cone).
-fn build_charged(
+/// Builds `E_v` at `height` into `arena` and charges its node count to
+/// the gauge; `Ok(None)` when the expansion fails (a PI must be inside
+/// the cone).
+#[allow(clippy::too_many_arguments)]
+fn build_charged<'a>(
     c: &Circuit,
     v: usize,
     height: i64,
     labels: &[i64],
     opts: &LabelOptions,
     gauge: &Gauge,
-) -> Result<Option<Expansion>, Interrupted> {
+    arena: &'a mut ExpScratch,
+) -> Result<Option<&'a Expansion>, Interrupted> {
     let built = {
         let _t = gauge.trace().hot("expand");
-        Expansion::build(c, v, opts.phi, labels, height, opts.expand)
+        arena.build(c, v, opts.phi, labels, height, opts.expand)
     };
     match built {
         Ok(exp) => {
@@ -297,10 +297,11 @@ fn build_charged(
 /// decomposition to root label `L(v)`. Returns the realization so that
 /// mapping generation can replay the exact same decision.
 ///
-/// `flow_exp` is `E_v` at height `L(v)`, already built by the caller's
-/// flow test; it serves as the `h = 0` step and is charged to the gauge
-/// again, so work budgets trip at the same expansion as when every step
-/// was built (and charged) on its own.
+/// The expansion last built into `scratch.exp` must be `E_v` at height
+/// `L(v)`, as the caller's flow test leaves it; it serves as the `h = 0`
+/// step and is charged to the gauge again, so work budgets trip at the
+/// same expansion as when every step was built (and charged) on its own.
+/// Each later step is rebuilt in place.
 ///
 /// A decomposition error (a cut wider than 16 inputs, or a bound-set
 /// window wider than [`MAX_BOUND`](crate::seqdecomp::MAX_BOUND) at
@@ -311,39 +312,40 @@ pub(crate) fn resyn_realization(
     v: usize,
     big_l: i64,
     labels: &[i64],
-    flow_exp: Expansion,
     opts: &LabelOptions,
     gauge: &Gauge,
     caches: &SessionCaches,
-    scratch: &mut CutScratch,
+    scratch: &mut Scratch,
     mut deps: Option<&mut Vec<usize>>,
 ) -> Result<Option<crate::seqdecomp::Realization>, Interrupted> {
     // Consecutive descent heights often yield the same min-cut; skip the
     // (expensive) decomposition retry when nothing changed.
     let mut last_cut: Option<Vec<(usize, i64)>> = None;
-    let mut exp = flow_exp;
     for h in 0..64 {
-        if h == 0 {
+        let exp = if h == 0 {
+            let exp = scratch.exp.expansion();
             gauge.charge(exp.nodes.len() as u64)?;
+            exp
         } else {
-            let Some(next) = build_charged(c, v, big_l - h, labels, opts, gauge)? else {
+            let Some(exp) = build_charged(c, v, big_l - h, labels, opts, gauge, &mut scratch.exp)?
+            else {
                 return Ok(None);
             };
-            exp = next;
             if let Some(d) = deps.as_deref_mut() {
                 d.extend(exp.nodes.iter().map(|n| n.orig));
             }
-        }
+            exp
+        };
         let cut = {
             let _t = gauge.trace().hot("flow.min_cut");
-            exp.min_cut_in(opts.cmax, scratch)
+            exp.min_cut_in(opts.cmax, &mut scratch.cut)
         };
         let Some(cut) = cut else {
             return Ok(None); // cut-size > Cmax (give up)
         };
         if cut.len() <= opts.k && exp.cut_height(&cut, opts.phi, labels) <= big_l {
             // Narrow enough already (the deeper min-cut shrank below K).
-            return Ok(crate::seqdecomp::Realization::from_cut(&exp, c, &cut).ok());
+            return Ok(crate::seqdecomp::Realization::from_cut(exp, c, &cut).ok());
         }
         let mut key: Vec<(usize, i64)> = cut
             .iter()
@@ -357,7 +359,7 @@ pub(crate) fn resyn_realization(
         let resyn = {
             let _t = gauge.trace().hot("seqdecomp");
             crate::seqdecomp::resynthesize_cached(
-                &exp,
+                exp,
                 c,
                 &cut,
                 opts.phi,
@@ -488,6 +490,10 @@ pub fn compute_labels_governed(
 /// nearly free. Sweep-cap degrades are never recorded as infeasible
 /// marks (they depend on the caller's budget, not the circuit), so a
 /// replayed verdict always matches what a cold ungoverned run decides.
+/// Conversely, a probe under a `max_sweeps` budget reads no lineage at
+/// all (no replay, no warm start): its sweep count, and hence whether
+/// the cap trips, is then the cold run's, whatever the engine ran
+/// before.
 pub(crate) fn compute_labels_with(
     c: &Circuit,
     opts: &LabelOptions,
@@ -558,7 +564,11 @@ fn compute_labels_inner(
     }
 
     let mut stats = LabelStats::default();
-    if opts.warm_start {
+    // A `max_sweeps` budget counts the sweeps of this call, so a probe
+    // under it reads no lineage: a replay or warm start would take fewer
+    // sweeps than a cold run and make the budgeted outcome depend on what
+    // the engine ran before.
+    if opts.warm_start && gauge.budget().max_sweeps.is_none() {
         let key = lineage_key(opts);
         // Exact-φ replay: a probe that already ran to completion under
         // this key on this circuit is a deterministic function replay.
@@ -598,6 +608,8 @@ fn compute_labels_inner(
     // Member-local index of each node (u32::MAX = not in the current
     // SCC); allocated once, reset per SCC.
     let mut local = vec![u32::MAX; n];
+    // One scratch per label worker, kept for every sweep of this probe.
+    let mut scratches: Vec<Scratch> = Vec::new();
 
     for sc in 0..cond.count() {
         let members: Vec<usize> = cond.members[sc]
@@ -707,7 +719,16 @@ fn compute_labels_inner(
             if tasks.is_empty() {
                 break; // converged
             }
-            let results = run_label_tasks(c, opts, &labels, &tasks, gauge, caches, worklist);
+            let results = run_label_tasks(
+                c,
+                opts,
+                &labels,
+                &tasks,
+                gauge,
+                caches,
+                &mut scratches,
+                worklist,
+            );
             let mut first_err = None;
             for r in &results {
                 if let Some(Err(i)) = r {
@@ -829,9 +850,11 @@ type TaskResult = Result<(i64, LabelStats, Vec<usize>), Interrupted>;
 /// pool. The unit of partitioning is the *worklist* — the already
 /// filtered pending tasks — not the SCC's node range, so workers stay
 /// evenly loaded even when most members are quiescent. Tasks are split
-/// into contiguous chunks (one per worker), each worker owns a private
-/// [`CutScratch`], and results land in per-task slots — so the caller
-/// merges them in deterministic task order regardless of scheduling.
+/// into contiguous chunks (one per worker), each worker owns one
+/// [`Scratch`] of `scratches` (grown to the worker count on demand and
+/// kept by the caller across sweeps), and results land in per-task slots
+/// — so the caller merges them in deterministic task order regardless of
+/// scheduling.
 #[allow(clippy::too_many_arguments)]
 fn run_label_tasks(
     c: &Circuit,
@@ -840,12 +863,16 @@ fn run_label_tasks(
     tasks: &[(usize, i64)],
     gauge: &Gauge,
     caches: &SessionCaches,
+    scratches: &mut Vec<Scratch>,
     collect_deps: bool,
 ) -> Vec<Option<TaskResult>> {
     let jobs = opts.jobs.max(1).min(tasks.len());
     let mut results: Vec<Option<TaskResult>> = vec![None; tasks.len()];
+    if scratches.len() < jobs {
+        scratches.resize_with(jobs, Scratch::default);
+    }
     if jobs <= 1 {
-        let mut scratch = CutScratch::new();
+        let scratch = &mut scratches[0];
         for (&(v, big_l), slot) in tasks.iter().zip(results.iter_mut()) {
             let r = run_one_task(
                 c,
@@ -855,7 +882,7 @@ fn run_label_tasks(
                 opts,
                 gauge,
                 caches,
-                &mut scratch,
+                scratch,
                 collect_deps,
             );
             let stop = r.is_err();
@@ -869,10 +896,10 @@ fn run_label_tasks(
     let abort = AtomicBool::new(false);
     let chunk = tasks.len().div_ceil(jobs);
     std::thread::scope(|s| {
-        for (tchunk, rchunk) in tasks.chunks(chunk).zip(results.chunks_mut(chunk)) {
+        let chunks = tasks.chunks(chunk).zip(results.chunks_mut(chunk));
+        for ((tchunk, rchunk), scratch) in chunks.zip(scratches.iter_mut()) {
             let abort = &abort;
             s.spawn(move || {
-                let mut scratch = CutScratch::new();
                 for (&(v, big_l), slot) in tchunk.iter().zip(rchunk.iter_mut()) {
                     if abort.load(Ordering::Relaxed) {
                         return;
@@ -885,7 +912,7 @@ fn run_label_tasks(
                         opts,
                         gauge,
                         caches,
-                        &mut scratch,
+                        scratch,
                         collect_deps,
                     );
                     let stop = r.is_err();
@@ -914,7 +941,7 @@ fn run_one_task(
     opts: &LabelOptions,
     gauge: &Gauge,
     caches: &SessionCaches,
-    scratch: &mut CutScratch,
+    scratch: &mut Scratch,
     collect_deps: bool,
 ) -> TaskResult {
     let mut tstats = LabelStats::default();

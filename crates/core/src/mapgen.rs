@@ -13,11 +13,10 @@
 //! clock period φ.
 
 use crate::cache::SessionCaches;
-use crate::expand::Expansion;
+use crate::expand::Scratch;
 use crate::label::{resyn_realization, LabelOptions};
 use crate::seqdecomp::{LutInput, Realization};
 use std::collections::HashMap;
-use turbosyn_graph::maxflow::CutScratch;
 use turbosyn_netlist::{Circuit, Fanin, NodeId, NodeKind};
 
 /// Errors from mapping generation.
@@ -50,16 +49,18 @@ pub(crate) fn realize(
     labels: &[i64],
     opts: &LabelOptions,
     caches: &SessionCaches,
-    scratch: &mut CutScratch,
+    scratch: &mut Scratch,
 ) -> Result<Realization, MapGenError> {
     let unrealizable = || MapGenError::Unrealizable { node: v };
     let h = labels[v];
     // PiMustBeInside at the node's own label can only happen on
     // corrupted label tables.
-    let exp =
-        Expansion::build(c, v, opts.phi, labels, h, opts.expand).map_err(|_| unrealizable())?;
-    if let Some(cut) = exp.min_cut_in(opts.k, scratch) {
-        return Realization::from_cut(&exp, c, &cut).map_err(|_| unrealizable());
+    let exp = scratch
+        .exp
+        .build(c, v, opts.phi, labels, h, opts.expand)
+        .map_err(|_| unrealizable())?;
+    if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.cut) {
+        return Realization::from_cut(exp, c, &cut).map_err(|_| unrealizable());
     }
     if opts.resynthesis {
         // Replay runs ungoverned: every decision the label search made is
@@ -69,7 +70,7 @@ pub(crate) fn realize(
         // decomposition verdicts are pure functions of their signatures.
         let replay = crate::budget::Gauge::new(crate::budget::Budget::default());
         if let Ok(Some(r)) =
-            resyn_realization(c, v, h, labels, exp, opts, &replay, caches, scratch, None)
+            resyn_realization(c, v, h, labels, opts, &replay, caches, scratch, None)
         {
             return Ok(r);
         }
@@ -78,10 +79,14 @@ pub(crate) fn realize(
     // is max(l(u) − φw) + 1 <= l(v) + 1; always K-feasible for a
     // K-bounded input. Only reachable on inconsistent label tables, but
     // keeps generation total.
-    let exp =
-        Expansion::build(c, v, opts.phi, labels, h + 1, opts.expand).map_err(|_| unrealizable())?;
-    let cut = exp.min_cut_in(opts.k, scratch).ok_or_else(unrealizable)?;
-    Realization::from_cut(&exp, c, &cut).map_err(|_| unrealizable())
+    let exp = scratch
+        .exp
+        .build(c, v, opts.phi, labels, h + 1, opts.expand)
+        .map_err(|_| unrealizable())?;
+    let cut = exp
+        .min_cut_in(opts.k, &mut scratch.cut)
+        .ok_or_else(unrealizable)?;
+    Realization::from_cut(exp, c, &cut).map_err(|_| unrealizable())
 }
 
 /// Generates the mapped LUT circuit for converged `labels` at
@@ -114,7 +119,7 @@ pub(crate) fn generate_mapping_with(
     caches: &SessionCaches,
 ) -> Result<Circuit, MapGenError> {
     caches.bind(c);
-    let mut scratch = CutScratch::new();
+    let mut scratch = Scratch::default();
     let mut out = Circuit::new(format!("{}_mapped_k{}", c.name(), opts.k));
     let mut mapped: HashMap<usize, NodeId> = HashMap::new(); // orig -> out node
 
@@ -207,10 +212,10 @@ pub(crate) fn generate_mapping_with(
             }
             // Try plain cuts at growing heights up to the budget.
             for h in (eff[v] + 1)..=budget.min(eff[v] + 8) {
-                let Ok(exp) = Expansion::build(c, v, opts.phi, &eff, h, opts.expand) else {
+                let Ok(exp) = scratch.exp.build(c, v, opts.phi, &eff, h, opts.expand) else {
                     break;
                 };
-                if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch) {
+                if let Some(cut) = exp.min_cut_in(opts.k, &mut scratch.cut) {
                     // The relaxed cut must not need any *new* gates (their
                     // realizations would not have been budget-checked);
                     // all inputs must already be realized or PIs.
@@ -220,7 +225,7 @@ pub(crate) fn generate_mapping_with(
                             || realizations.contains_key(&orig)
                     });
                     if ok {
-                        let new_r = Realization::from_cut(&exp, c, &cut)
+                        let new_r = Realization::from_cut(exp, c, &cut)
                             .map_err(|_| MapGenError::Unrealizable { node: v })?;
                         // Update the use index: drop v's old uses, add new.
                         for sites in uses.values_mut() {

@@ -44,6 +44,50 @@ fn sweep_cap_degrades_but_stays_verified() {
     verify_mapping(&c, &capped.mapped, 5, capped.phi, 48).expect("degraded mapping verifies");
 }
 
+/// A sweep cap binds the same way on a warm engine as on a cold one:
+/// a probe under `max_sweeps` replays no converged labels and no
+/// infeasible verdict from earlier runs, so the outcome and its
+/// degradation events do not depend on what the engine mapped before.
+#[test]
+fn sweep_cap_binds_on_a_warm_engine() {
+    let c = gen::figure1();
+    let capped = |sweeps| MapOptions {
+        budget: Budget::default().with_max_sweeps(sweeps),
+        ..MapOptions::default()
+    };
+    let summary = |r: Result<turbosyn::MapReport, SynthesisError>| {
+        r.map(|r| (r.phi, r.probes, r.degradation, blif::write(&r.mapped)))
+    };
+    // (cap of the earlier run on the warm engine, cap of the compared run)
+    for (before, cap) in [(2, 1), (1, 2), (20, 2), (20, 1)] {
+        let cold = summary(turbosyn::Engine::new().turbosyn(&c, &capped(cap)));
+        let warm_engine = turbosyn::Engine::new();
+        let _ = warm_engine.turbosyn(&c, &capped(before));
+        let warm = summary(warm_engine.turbosyn(&c, &capped(cap)));
+        assert_eq!(
+            warm, cold,
+            "max_sweeps {cap} after a max_sweeps {before} run"
+        );
+    }
+    // The cold outcomes the pairs above are compared against: one sweep
+    // proves no φ, two sweeps settle at a degraded φ.
+    let one = turbosyn::Engine::new().turbosyn(&c, &capped(1));
+    assert!(
+        matches!(one, Err(SynthesisError::BudgetExceeded { .. })),
+        "{one:?}"
+    );
+    let two = turbosyn::Engine::new()
+        .turbosyn(&c, &capped(2))
+        .expect("two sweeps map");
+    let events = two.degradation.expect("degraded").events;
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, DegradeEvent::SweepCap { .. })),
+        "events: {events:?}"
+    );
+}
+
 #[test]
 fn pre_cancelled_token_fails_promptly() {
     let token = CancelToken::new();

@@ -3,7 +3,7 @@
 //! on random circuits.
 
 use std::collections::HashMap;
-use turbosyn::expand::{ExpandLimits, Expansion};
+use turbosyn::expand::{ExpScratch, ExpandLimits, Expansion};
 use turbosyn::label::{compute_labels, LabelOptions};
 use turbosyn_bdd::{Bdd, Manager};
 use turbosyn_graph::rng::StdRng;
@@ -33,7 +33,8 @@ fn cone_bits_via_bdd(exp: &Expansion, c: &Circuit, cut: &[usize]) -> Vec<u64> {
         let NodeKind::Gate(tt) = &c.node(NodeId::from_index(exp.nodes[xi].orig)).kind else {
             panic!("interior node {:?} is not a gate", exp.nodes[xi]);
         };
-        let fan: Vec<Bdd> = exp.fanins[xi]
+        let fan: Vec<Bdd> = exp
+            .fanins(xi)
             .iter()
             .map(|&ci| rec(exp, c, ci, memo, m))
             .collect();
@@ -91,12 +92,106 @@ fn expansion_invariants() {
             }
             if exp.expanded[i] {
                 assert!(
-                    !exp.fanins[i].is_empty()
+                    !exp.fanins(i).is_empty()
                         || c.node(turbosyn_netlist::NodeId::from_index(n.orig))
                             .fanins
                             .is_empty()
                 );
             }
+        }
+    }
+}
+
+/// A random `(circuit, root, labels, height, limits)` build request:
+/// FSMs and rings of assorted sizes, labels in `0..4` on gates, and
+/// limits small enough that slack and node-cap truncation both happen.
+fn random_build(rng: &mut StdRng) -> (Circuit, usize, Vec<i64>, i64, ExpandLimits) {
+    let c = if rng.random_range(0u32..3) == 0 {
+        gen::ring(rng.random_range(2usize..8), rng.random_range(1usize..4))
+    } else {
+        gen::fsm(gen::FsmConfig {
+            state_bits: rng.random_range(1usize..4),
+            inputs: rng.random_range(1usize..4),
+            outputs: 1,
+            depth: rng.random_range(1usize..4),
+            seed: rng.random_range(0u64..1000),
+        })
+    };
+    let labels: Vec<i64> = c
+        .node_ids()
+        .map(|id| match c.node(id).kind {
+            NodeKind::Gate(_) => rng.random_range(0i64..4),
+            _ => 0,
+        })
+        .collect();
+    let gates: Vec<usize> = c.gates().map(|g| g.index()).collect();
+    let root = gates[rng.random_range(0..gates.len())];
+    let height = rng.random_range(0i64..4);
+    let limits = ExpandLimits {
+        slack: rng.random_range(0usize..5),
+        max_nodes: rng.random_range(2usize..200),
+    };
+    (c, root, labels, height, limits)
+}
+
+/// One `ExpScratch` reused across many random builds produces exactly
+/// the expansion a fresh scratch produces for each build: stale chain
+/// heads, queue entries or fanin ranges never leak from one build into
+/// the next.
+#[test]
+fn reused_expansion_arena_matches_fresh_builds() {
+    let mut rng = StdRng::seed_from_u64(0xD5);
+    let mut arena = ExpScratch::new();
+    let mut built = 0;
+    for _ in 0..300 {
+        let (c, root, labels, height, limits) = random_build(&mut rng);
+        let phi = rng.random_range(1i64..4);
+        let fresh = Expansion::build(&c, root, phi, &labels, height, limits);
+        let reused = arena.build(&c, root, phi, &labels, height, limits);
+        match (fresh, reused) {
+            (Ok(fresh), Ok(reused)) => {
+                assert_eq!(reused.nodes, fresh.nodes);
+                assert_eq!(reused.expanded, fresh.expanded);
+                assert_eq!(reused.must_inside, fresh.must_inside);
+                for xi in 0..fresh.nodes.len() {
+                    assert_eq!(reused.fanins(xi), fresh.fanins(xi), "fanins of {xi}");
+                }
+                built += 1;
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            (fresh, reused) => panic!("fresh {:?} vs reused {:?}", fresh.err(), reused.err()),
+        }
+    }
+    assert!(built > 100, "only {built} builds succeeded");
+}
+
+/// Every expanded node `u^w` lists, in the circuit's fanin order, the
+/// replicas `f.source^(w + f.weight)` of its fanins; every unexpanded
+/// node lists none.
+#[test]
+fn expansion_fanins_follow_the_circuit_in_order() {
+    let mut rng = StdRng::seed_from_u64(0xD6);
+    for _ in 0..200 {
+        let (c, root, labels, height, limits) = random_build(&mut rng);
+        let Ok(exp) = Expansion::build(&c, root, 1, &labels, height, limits) else {
+            continue;
+        };
+        for (xi, n) in exp.nodes.iter().enumerate() {
+            let got: Vec<(usize, i64)> = exp
+                .fanins(xi)
+                .iter()
+                .map(|&ci| (exp.nodes[ci].orig, exp.nodes[ci].weight))
+                .collect();
+            let want: Vec<(usize, i64)> = if exp.expanded[xi] {
+                c.node(NodeId::from_index(n.orig))
+                    .fanins
+                    .iter()
+                    .map(|f| (f.source.index(), n.weight + i64::from(f.weight)))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(got, want, "node {xi} = {n:?}");
         }
     }
 }

@@ -8,7 +8,8 @@
 //! unit augmenting paths.
 //!
 //! [`unit_vertex_cut`] runs those augmentations on the *implicit*
-//! node-split residual graph of a fanin-list graph: vertex `v` has the
+//! node-split residual graph of a fanin-list graph (any [`FaninLists`]:
+//! nested vectors, or a caller's flat arena): vertex `v` has the
 //! states `v_in` and `v_out`, a cuttable vertex carries one `through` bit
 //! (its unit of capacity) and each edge a flow count. All buffers live in
 //! a reusable [`CutScratch`]. [`min_vertex_cut`] is the same cut on a
@@ -25,6 +26,38 @@ pub enum VertexCut {
     Cut(Vec<usize>),
     /// Every vertex cut is larger than the limit.
     ExceedsLimit,
+}
+
+/// A graph given by per-vertex fanin lists: the edges into vertex `v`
+/// come from the vertices of `fanins(v)`, in that order.
+///
+/// Implemented for slices and vectors of lists (`Vec<Vec<usize>>` and
+/// the like), and by callers that keep every list in one flat buffer.
+pub trait FaninLists {
+    /// Number of vertices; they are numbered `0..vertex_count()`.
+    fn vertex_count(&self) -> usize;
+    /// The tails of the edges into `v`, in edge order.
+    fn fanins(&self, v: usize) -> &[usize];
+}
+
+impl<F: AsRef<[usize]>> FaninLists for [F] {
+    fn vertex_count(&self) -> usize {
+        self.len()
+    }
+
+    fn fanins(&self, v: usize) -> &[usize] {
+        self[v].as_ref()
+    }
+}
+
+impl<F: AsRef<[usize]>> FaninLists for Vec<F> {
+    fn vertex_count(&self) -> usize {
+        self.len()
+    }
+
+    fn fanins(&self, v: usize) -> &[usize] {
+        self[v].as_ref()
+    }
 }
 
 /// How a vertex takes part in a [`unit_vertex_cut`] problem.
@@ -89,8 +122,8 @@ impl CutScratch {
 
     /// Loads the graph: vertex flags, edge ids, the fanout CSR, and zero
     /// flow.
-    fn load<F: AsRef<[usize]>>(&mut self, fanins: &[F], role: impl Fn(usize) -> Role) {
-        let n = fanins.len();
+    fn load<G: FaninLists + ?Sized>(&mut self, g: &G, role: impl Fn(usize) -> Role) {
+        let n = g.vertex_count();
         self.flag.clear();
         self.sources.clear();
         for v in 0..n {
@@ -107,24 +140,24 @@ impl CutScratch {
             }
             self.flag.push(f);
         }
-        let m: usize = fanins.iter().map(|fan| fan.as_ref().len()).sum();
+        let m: usize = (0..n).map(|v| g.fanins(v).len()).sum();
         assert!(
             2 * n < NONE as usize && m < NONE as usize,
             "graph too large for 32-bit state and edge ids"
         );
         self.in_start.clear();
         let mut first = 0;
-        for fan in fanins {
+        for v in 0..n {
             self.in_start.push(first);
-            first += fan.as_ref().len() as u32;
+            first += g.fanins(v).len() as u32;
         }
         self.in_start.push(first);
         // Count fanouts, turn the counts into slot ends, then fill each
         // list back to front so it ends up in ascending edge order.
         self.out_start.clear();
         self.out_start.resize(n + 1, 0);
-        for fan in fanins {
-            for &u in fan.as_ref() {
+        for v in 0..n {
+            for &u in g.fanins(v) {
                 self.out_start[u] += 1;
             }
         }
@@ -136,9 +169,9 @@ impl CutScratch {
         self.out_start[n] = first;
         self.out.clear();
         self.out.resize(m, (0, 0));
-        for (v, fan) in fanins.iter().enumerate().rev() {
+        for v in (0..n).rev() {
             let first = self.in_start[v];
-            for (j, &u) in fan.as_ref().iter().enumerate().rev() {
+            for (j, &u) in g.fanins(v).iter().enumerate().rev() {
                 self.out_start[u] -= 1;
                 self.out[self.out_start[u] as usize] = (first + j as u32, v as u32);
             }
@@ -178,7 +211,7 @@ impl CutScratch {
     /// super-source to a sink. Pushes one unit along the path it finds
     /// and returns `true`; otherwise leaves the reached states marked
     /// with the current epoch and returns `false`.
-    fn augment<F: AsRef<[usize]>>(&mut self, fanins: &[F]) -> bool {
+    fn augment<G: FaninLists + ?Sized>(&mut self, g: &G) -> bool {
         if self.epoch == u32::MAX {
             // Epoch wrap: physically clear the stale stamps once.
             self.mark.iter_mut().for_each(|m| *m = 0);
@@ -206,7 +239,7 @@ impl CutScratch {
                     self.reach(s | 1, (s, NONE));
                 }
                 let first = self.in_start[v];
-                fanins[v].as_ref().iter().enumerate().find_map(|(j, &u)| {
+                g.fanins(v).iter().enumerate().find_map(|(j, &u)| {
                     let e = first + j as u32;
                     (self.flow[e as usize] > 0 && self.reach(2 * u as u32 + 1, (s, e)))
                         .then_some(2 * u as u32 + 1)
@@ -256,7 +289,7 @@ impl CutScratch {
 }
 
 /// Computes the source-closest minimum **vertex** cut of a graph given by
-/// fanin lists (`fanins[v]` lists the tails of the edges into `v`), where
+/// fanin lists (`g.fanins(v)` lists the tails of the edges into `v`), where
 /// every vertex that `role` does not make uncuttable has capacity 1.
 /// Stops early and returns [`VertexCut::ExceedsLimit`] when every cut has
 /// more than `limit` vertices.
@@ -291,19 +324,19 @@ impl CutScratch {
 /// let mut scratch = CutScratch::new();
 /// assert_eq!(unit_vertex_cut(&fanins, role, 4, &mut scratch), VertexCut::Cut(vec![3]));
 /// ```
-pub fn unit_vertex_cut<F: AsRef<[usize]>>(
-    fanins: &[F],
+pub fn unit_vertex_cut<G: FaninLists + ?Sized>(
+    g: &G,
     role: impl Fn(usize) -> Role,
     limit: usize,
     scratch: &mut CutScratch,
 ) -> VertexCut {
-    let n = fanins.len();
-    scratch.load(fanins, role);
+    let n = g.vertex_count();
+    scratch.load(g, role);
     // A finite cut has at most n vertices, so more than n units of flow
     // means that no finite cut exists.
     let cap = limit.min(n);
     let mut flow = 0;
-    while scratch.augment(fanins) {
+    while scratch.augment(g) {
         flow += 1;
         if flow > cap {
             return VertexCut::ExceedsLimit;

@@ -45,8 +45,9 @@ fn with_daemon(check: impl FnOnce(&str)) {
 /// to settle at φ = 1: the cap truncates a probe, and the run is a
 /// degraded success (exit 3) that still returns a report. One sweep
 /// converges no probe at all (exit 4); twenty leave every probe whole
-/// (exit 0). Each run gets a cold daemon: a warm one replays converged
-/// labels without sweeping.
+/// (exit 0). All three runs share one daemon: a probe under a sweep cap
+/// replays nothing the engine converged before, so the one-sweep run
+/// fails even right after the two-sweep run warmed the engine.
 #[test]
 fn sweep_cap_degrades_to_exit_three() {
     with_daemon(|addr| {
@@ -63,12 +64,8 @@ fn sweep_cap_degrades_to_exit_three() {
             report.contains("\"kind\":\"sweep_cap\""),
             "report: {report}"
         );
-    });
-    with_daemon(|addr| {
         let (out, _) = map_figure1(addr, &["--max-sweeps", "1"]);
         assert_eq!(out.status.code(), Some(4), "one sweep converges nothing");
-    });
-    with_daemon(|addr| {
         let (out, report) = map_figure1(addr, &["--max-sweeps", "20"]);
         assert_eq!(out.status.code(), Some(0), "twenty sweeps suffice");
         assert!(!report.contains("sweep_cap"), "report: {report}");
