@@ -2,11 +2,13 @@
 //!
 //! The free mapper functions ([`turbosyn`](crate::turbosyn) and friends)
 //! are stateless: every call builds its caches from scratch. An
-//! [`Engine`] keeps the decomposition cache and the probe lineage alive
-//! across calls, so mapping the same (or a structurally similar) circuit
-//! again reuses earlier work. Results are identical either way — caching
-//! only changes wall-clock (the crate-private `cache` module gives the
-//! argument). That includes runs under a
+//! [`Engine`] keeps the probe lineage (converged labels of earlier φ
+//! probes) and the infeasible-probe marks alive across calls, so mapping
+//! the same circuit again replays its binary search instead of sweeping.
+//! Decompositions are never reused: every cut function is decomposed
+//! afresh. Results are identical either way — the lineage only changes
+//! wall-clock (the crate-private `cache` module gives the argument).
+//! That includes runs under a
 //! [`Budget::max_sweeps`](crate::Budget::max_sweeps) cap: their probes read no
 //! lineage, so a warm engine sweeps exactly as a cold one.
 
@@ -20,7 +22,7 @@ use turbosyn_netlist::Circuit;
 /// A stateful synthesis session: mapper entry points plus shared caches.
 #[derive(Debug)]
 pub struct Engine {
-    pub(crate) caches: SessionCaches,
+    caches: SessionCaches,
     trace: turbosyn_trace::TraceSink,
 }
 
@@ -66,28 +68,20 @@ impl Engine {
         opts
     }
 
-    /// Cache counters accumulated over every run of this engine.
-    ///
-    /// Totals are monotonic (until [`Engine::reset_cache_stats`]); to
-    /// attribute work to one request, snapshot before and after the run
-    /// and take [`CacheStats::delta_since`] — exact whenever the engine
-    /// runs requests serially (one engine per worker thread, the
-    /// `turbosyn-serve` pool discipline).
+    /// Cache counters of this engine: every field is always 0, since
+    /// neither expansions nor decompositions are cached (see
+    /// [`CacheStats`]). The lineage's effect shows in
+    /// [`LabelStats::warm_started_probes`] instead.
     pub fn cache_stats(&self) -> CacheStats {
-        self.caches.stats()
-    }
-
-    /// Zeroes the cache and label-work counters while keeping every
-    /// cached decomposition outcome and the warm-start lineage warm. Later runs still hit the warm state; only the accounting
-    /// restarts.
-    pub fn reset_cache_stats(&self) {
-        self.caches.reset_stats();
+        CacheStats::default()
     }
 
     /// Label-computation work counters accumulated over every probe this
-    /// engine ran (same snapshot/delta discipline as
-    /// [`Engine::cache_stats`]; use [`LabelStats::delta_since`] for
-    /// per-request attribution).
+    /// engine ran. Totals are monotonic; to attribute work to one
+    /// request, snapshot before and after the run and take
+    /// [`LabelStats::delta_since`] — exact whenever the engine runs
+    /// requests serially (one engine per worker thread, the
+    /// `turbosyn-serve` pool discipline).
     pub fn label_stats(&self) -> LabelStats {
         self.caches.label_totals()
     }

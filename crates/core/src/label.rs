@@ -237,7 +237,6 @@ pub(crate) fn label_candidate(
     opts: &LabelOptions,
     stats: &mut LabelStats,
     gauge: &Gauge,
-    caches: &SessionCaches,
     scratch: &mut Scratch,
     mut deps: Option<&mut Vec<usize>>,
 ) -> Result<i64, Interrupted> {
@@ -258,7 +257,7 @@ pub(crate) fn label_candidate(
     }
     if opts.resynthesis {
         stats.resyn_attempts += 1;
-        if resyn_realization(c, v, big_l, labels, opts, gauge, caches, scratch, deps)?.is_some() {
+        if resyn_realization(c, v, big_l, labels, opts, gauge, scratch, deps)?.is_some() {
             stats.resyn_successes += 1;
             return Ok(big_l);
         }
@@ -314,7 +313,6 @@ pub(crate) fn resyn_realization(
     labels: &[i64],
     opts: &LabelOptions,
     gauge: &Gauge,
-    caches: &SessionCaches,
     scratch: &mut Scratch,
     mut deps: Option<&mut Vec<usize>>,
 ) -> Result<Option<crate::seqdecomp::Realization>, Interrupted> {
@@ -358,7 +356,7 @@ pub(crate) fn resyn_realization(
         last_cut = Some(key);
         let resyn = {
             let _t = gauge.trace().hot("seqdecomp");
-            crate::seqdecomp::resynthesize_cached(
+            crate::seqdecomp::resynthesize_wires(
                 exp,
                 c,
                 &cut,
@@ -367,7 +365,6 @@ pub(crate) fn resyn_realization(
                 big_l,
                 opts.k,
                 opts.max_wires,
-                &caches.decomp,
             )
         };
         match resyn {
@@ -719,16 +716,8 @@ fn compute_labels_inner(
             if tasks.is_empty() {
                 break; // converged
             }
-            let results = run_label_tasks(
-                c,
-                opts,
-                &labels,
-                &tasks,
-                gauge,
-                caches,
-                &mut scratches,
-                worklist,
-            );
+            let results =
+                run_label_tasks(c, opts, &labels, &tasks, gauge, &mut scratches, worklist);
             let mut first_err = None;
             for r in &results {
                 if let Some(Err(i)) = r {
@@ -855,14 +844,12 @@ type TaskResult = Result<(i64, LabelStats, Vec<usize>), Interrupted>;
 /// kept by the caller across sweeps), and results land in per-task slots
 /// — so the caller merges them in deterministic task order regardless of
 /// scheduling.
-#[allow(clippy::too_many_arguments)]
 fn run_label_tasks(
     c: &Circuit,
     opts: &LabelOptions,
     labels: &[i64],
     tasks: &[(usize, i64)],
     gauge: &Gauge,
-    caches: &SessionCaches,
     scratches: &mut Vec<Scratch>,
     collect_deps: bool,
 ) -> Vec<Option<TaskResult>> {
@@ -874,17 +861,7 @@ fn run_label_tasks(
     if jobs <= 1 {
         let scratch = &mut scratches[0];
         for (&(v, big_l), slot) in tasks.iter().zip(results.iter_mut()) {
-            let r = run_one_task(
-                c,
-                v,
-                big_l,
-                labels,
-                opts,
-                gauge,
-                caches,
-                scratch,
-                collect_deps,
-            );
+            let r = run_one_task(c, v, big_l, labels, opts, gauge, scratch, collect_deps);
             let stop = r.is_err();
             *slot = Some(r);
             if stop {
@@ -904,17 +881,7 @@ fn run_label_tasks(
                     if abort.load(Ordering::Relaxed) {
                         return;
                     }
-                    let r = run_one_task(
-                        c,
-                        v,
-                        big_l,
-                        labels,
-                        opts,
-                        gauge,
-                        caches,
-                        scratch,
-                        collect_deps,
-                    );
+                    let r = run_one_task(c, v, big_l, labels, opts, gauge, scratch, collect_deps);
                     let stop = r.is_err();
                     if stop {
                         abort.store(true, Ordering::Relaxed);
@@ -940,26 +907,14 @@ fn run_one_task(
     labels: &[i64],
     opts: &LabelOptions,
     gauge: &Gauge,
-    caches: &SessionCaches,
     scratch: &mut Scratch,
     collect_deps: bool,
 ) -> TaskResult {
     let mut tstats = LabelStats::default();
     let mut tdeps = Vec::new();
     let deps = if collect_deps { Some(&mut tdeps) } else { None };
-    label_candidate(
-        c,
-        v,
-        big_l,
-        labels,
-        opts,
-        &mut tstats,
-        gauge,
-        caches,
-        scratch,
-        deps,
-    )
-    .map(|cand| (cand, tstats, tdeps))
+    label_candidate(c, v, big_l, labels, opts, &mut tstats, gauge, scratch, deps)
+        .map(|cand| (cand, tstats, tdeps))
 }
 
 /// Re-derives the interruption kind from the gauge's sticky state, so

@@ -80,9 +80,7 @@ pub use label::{
 };
 pub use mapgen::generate_mapping;
 pub use mappers::{flowsyn_s, map_combinational, turbomap, turbosyn, MapOptions, MapReport};
-pub use report_json::{
-    cache_stats_to_json, degradation_to_json, label_stats_to_json, report_to_json,
-};
+pub use report_json::{degradation_to_json, label_stats_to_json, report_to_json};
 pub use turbosyn_trace as trace;
 pub use turbosyn_trace::TraceSink;
 pub use verify::{verify_mapping, VerifyError};

@@ -11,12 +11,16 @@
 //! cycle-accurate equivalent to the input (verified by
 //! [`crate::verify`]), and a final retiming/pipelining pass realizes the
 //! clock period φ.
+//!
+//! A resynthesized root replays the label search's descent, and with it
+//! the decomposition of each cut function it tries; nothing is carried
+//! over from the search.
 
-use crate::cache::SessionCaches;
 use crate::expand::Scratch;
 use crate::label::{resyn_realization, LabelOptions};
 use crate::seqdecomp::{LutInput, Realization};
 use std::collections::HashMap;
+use turbosyn_netlist::circuit::CircuitError;
 use turbosyn_netlist::{Circuit, Fanin, NodeId, NodeKind};
 
 /// Errors from mapping generation.
@@ -28,6 +32,15 @@ pub enum MapGenError {
         /// Original node index.
         node: usize,
     },
+    /// The label table does not hold one label per circuit node.
+    LabelCount {
+        /// Length of the label table.
+        labels: usize,
+        /// Node count of the circuit.
+        nodes: usize,
+    },
+    /// The circuit fails [`Circuit::validate`].
+    InvalidCircuit(CircuitError),
 }
 
 impl std::fmt::Display for MapGenError {
@@ -36,6 +49,10 @@ impl std::fmt::Display for MapGenError {
             MapGenError::Unrealizable { node } => {
                 write!(f, "no realization for node {node} at its label")
             }
+            MapGenError::LabelCount { labels, nodes } => {
+                write!(f, "{labels} labels for a circuit of {nodes} nodes")
+            }
+            MapGenError::InvalidCircuit(e) => write!(f, "invalid circuit: {e}"),
         }
     }
 }
@@ -48,7 +65,6 @@ pub(crate) fn realize(
     v: usize,
     labels: &[i64],
     opts: &LabelOptions,
-    caches: &SessionCaches,
     scratch: &mut Scratch,
 ) -> Result<Realization, MapGenError> {
     let unrealizable = || MapGenError::Unrealizable { node: v };
@@ -66,12 +82,8 @@ pub(crate) fn realize(
         // Replay runs ungoverned: every decision the label search made is
         // determined by `opts` alone, so a throwaway unlimited gauge
         // reproduces it exactly.
-        // Sharing the session caches only shortcuts the replay: cached
-        // decomposition verdicts are pure functions of their signatures.
         let replay = crate::budget::Gauge::new(crate::budget::Budget::default());
-        if let Ok(Some(r)) =
-            resyn_realization(c, v, h, labels, opts, &replay, caches, scratch, None)
-        {
+        if let Ok(Some(r)) = resyn_realization(c, v, h, labels, opts, &replay, scratch, None) {
             return Ok(r);
         }
     }
@@ -98,27 +110,22 @@ pub(crate) fn realize(
 ///
 /// # Errors
 ///
-/// [`MapGenError`] if some needed node has no realization (labels not
-/// from a feasible computation).
+/// [`MapGenError::InvalidCircuit`] if `c` fails [`Circuit::validate`],
+/// [`MapGenError::LabelCount`] unless `labels` has one entry per node of
+/// `c`, and [`MapGenError::Unrealizable`] if some needed node has no
+/// realization (labels not from a feasible computation).
 pub fn generate_mapping(
     c: &Circuit,
     labels: &[i64],
     opts: &LabelOptions,
 ) -> Result<Circuit, MapGenError> {
-    let caches = SessionCaches::new();
-    generate_mapping_with(c, labels, opts, &caches)
-}
-
-/// [`generate_mapping`] against caller-owned [`SessionCaches`], so the
-/// resynthesis replay reuses the decomposition verdicts the label search
-/// already cached.
-pub(crate) fn generate_mapping_with(
-    c: &Circuit,
-    labels: &[i64],
-    opts: &LabelOptions,
-    caches: &SessionCaches,
-) -> Result<Circuit, MapGenError> {
-    caches.bind(c);
+    c.validate().map_err(MapGenError::InvalidCircuit)?;
+    if labels.len() != c.node_count() {
+        return Err(MapGenError::LabelCount {
+            labels: labels.len(),
+            nodes: c.node_count(),
+        });
+    }
     let mut scratch = Scratch::default();
     let mut out = Circuit::new(format!("{}_mapped_k{}", c.name(), opts.k));
     let mut mapped: HashMap<usize, NodeId> = HashMap::new(); // orig -> out node
@@ -148,7 +155,7 @@ pub(crate) fn generate_mapping_with(
     // Realize every needed gate; realizations may add new requirements.
     let mut realizations: HashMap<usize, Realization> = HashMap::new();
     while let Some(v) = queue.pop() {
-        let r = realize(c, v, labels, opts, caches, &mut scratch)?;
+        let r = realize(c, v, labels, opts, &mut scratch)?;
         for lut in &r.luts {
             for inp in &lut.inputs {
                 if let LutInput::Sequential { orig, .. } = *inp {
@@ -312,6 +319,38 @@ mod tests {
             }
             LabelOutcome::Infeasible { .. } => panic!("phi should be feasible"),
         }
+    }
+
+    /// A label table of the wrong length is a typed error, not an
+    /// out-of-bounds panic.
+    #[test]
+    fn label_count_mismatch_is_an_error() {
+        let c = gen::figure1();
+        let opts = LabelOptions::turbosyn(5, 1);
+        for labels in [vec![0, 1], vec![1; c.node_count() + 1]] {
+            assert_eq!(
+                generate_mapping(&c, &labels, &opts).unwrap_err(),
+                MapGenError::LabelCount {
+                    labels: labels.len(),
+                    nodes: c.node_count()
+                }
+            );
+        }
+    }
+
+    /// A circuit that fails validation is a typed error.
+    #[test]
+    fn invalid_circuit_is_an_error() {
+        let mut c = gen::figure1();
+        let g1 = c.find("g1").expect("exists");
+        c.set_fanin(g1, 0, Fanin::wire(g1)); // a register-free self-loop
+        let labels = vec![1; c.node_count()];
+        assert!(matches!(
+            generate_mapping(&c, &labels, &LabelOptions::turbosyn(5, 1)),
+            Err(MapGenError::InvalidCircuit(
+                CircuitError::CombinationalCycle(_)
+            ))
+        ));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::cache::SessionCaches;
 use crate::error::SynthesisError;
 use crate::expand::ExpandLimits;
 use crate::label::{compute_labels_with, LabelOptions, LabelOutcome, LabelStats, StopRule};
-use crate::mapgen::generate_mapping_with;
+use crate::mapgen::generate_mapping;
 use crate::verify::verify_mapping;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -299,7 +299,7 @@ fn drive(
     let lopts = opts.labels_for(phi, resynthesis);
     let mapped = {
         let _t = gauge.trace().span("mapgen");
-        let mut mapped = generate_mapping_with(&c, &labels, &lopts, caches)
+        let mut mapped = generate_mapping(&c, &labels, &lopts)
             .map_err(|e| SynthesisError::Internal(e.to_string()))?;
         area::sweep(&mut mapped);
         if opts.pack {
@@ -500,7 +500,7 @@ pub(crate) fn map_combinational_with(
             })
         }
     };
-    let mut mapped = generate_mapping_with(&prep, &labels, &lopts, caches)
+    let mut mapped = generate_mapping(&prep, &labels, &lopts)
         .map_err(|e| SynthesisError::Internal(e.to_string()))?;
     area::sweep(&mut mapped);
     if opts.pack {
@@ -604,7 +604,7 @@ pub(crate) fn flowsyn_s_with(
             })
         }
     };
-    let mut mapped_comb = generate_mapping_with(&comb, &labels, &lopts, caches)
+    let mut mapped_comb = generate_mapping(&comb, &labels, &lopts)
         .map_err(|e| SynthesisError::Internal(e.to_string()))?;
     area::sweep(&mut mapped_comb);
     if opts.pack {

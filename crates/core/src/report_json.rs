@@ -12,7 +12,6 @@
 //! mapped netlist without a side channel.
 
 use crate::budget::{Degradation, DegradeEvent};
-use crate::cache::CacheStats;
 use crate::label::LabelStats;
 use crate::mappers::MapReport;
 use turbosyn_json::Json;
@@ -65,8 +64,8 @@ pub fn report_to_json(report: &MapReport) -> Json {
 /// Encodes the label-computation work counters.
 ///
 /// Deliberately *not* part of [`report_to_json`]: work depends on the
-/// engine's cache/lineage history, so it travels in explicitly
-/// non-deterministic sections (alongside timing and cache deltas).
+/// engine's lineage history, so it travels in explicitly
+/// non-deterministic sections (alongside timing).
 #[must_use]
 pub fn label_stats_to_json(stats: &LabelStats) -> Json {
     Json::obj(vec![
@@ -115,19 +114,6 @@ pub fn degrade_event_to_json(event: &DegradeEvent) -> Json {
             ("scc_size", Json::from(*scc_size)),
         ]),
     }
-}
-
-/// Encodes cache counters (totals or a per-request delta). The
-/// always-zero expansion counters are left out.
-#[must_use]
-pub fn cache_stats_to_json(stats: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("decomposition_hits", Json::from(stats.decomposition_hits)),
-        (
-            "decomposition_misses",
-            Json::from(stats.decomposition_misses),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -222,20 +208,6 @@ mod tests {
             "{\"sweeps\":1,\"cut_tests\":2,\"resyn_attempts\":3,\
              \"resyn_successes\":4,\"candidates_skipped\":5,\
              \"warm_started_probes\":6,\"pld_checks_skipped\":7}"
-        );
-    }
-
-    #[test]
-    fn cache_stats_encode_the_decomposition_counters() {
-        let s = CacheStats {
-            decomposition_hits: 3,
-            decomposition_misses: 4,
-            ..CacheStats::default()
-        };
-        let j = cache_stats_to_json(&s);
-        assert_eq!(
-            j.write(),
-            "{\"decomposition_hits\":3,\"decomposition_misses\":4}"
         );
     }
 }

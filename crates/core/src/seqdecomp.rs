@@ -23,13 +23,13 @@
 //! so every cofactor column is a contiguous slice of the table, and
 //! cofactor classes are found by comparing slices. A cut wider than 16
 //! inputs has no table and no realization. The window search
-//! (`decompose_template`) drives the function through the `CutFunction`
+//! (`decompose_cut`) drives the function through the `CutFunction`
 //! trait; the tests plug an OBDD implementation (`turbosyn-bdd`) into the
 //! same trait as a reference and compare every decision with it.
+//!
+//! Nothing is memoized: each attempt builds the cut table, runs the
+//! window search and returns the realization itself.
 
-use crate::cache::{
-    CachedOutcome, DecompCache, LutTemplate, SignatureKey, TemplateInput, TemplateLut,
-};
 use crate::error::SynthesisError;
 use crate::expand::{ExpNode, Expansion};
 use turbosyn_netlist::tt::TruthTable;
@@ -56,7 +56,7 @@ pub enum LutInput {
 }
 
 /// One LUT of a realization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LutSpec {
     /// Function over the ordered `inputs`.
     pub tt: TruthTable,
@@ -66,7 +66,7 @@ pub struct LutSpec {
 
 /// How a node's function is realized in the mapped network: one or more
 /// LUTs, the last of which (`luts[root]`) computes the node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Realization {
     /// All LUTs; internal references point into this list.
     pub luts: Vec<LutSpec>,
@@ -135,6 +135,10 @@ pub fn resynthesize(
 /// sets with column multiplicity up to 4 become two encoder LUTs feeding
 /// the root, trading LUT count for coverable cases.
 ///
+/// Every call decomposes afresh: the cut table is a few words and the
+/// window search a handful of column-class splits, so a memo of earlier
+/// verdicts saves less than its lookups cost.
+///
 /// # Errors
 ///
 /// [`SynthesisError::InvalidInput`] unless `max_wires` is 1 or 2, or when
@@ -151,30 +155,6 @@ pub fn resynthesize_wires(
     k: usize,
     max_wires: usize,
 ) -> Result<Option<Realization>, SynthesisError> {
-    let scratch = DecompCache::default();
-    resynthesize_cached(exp, c, cut, phi, labels, height, k, max_wires, &scratch)
-}
-
-/// Like [`resynthesize_wires`], but memoized in a [`DecompCache`] keyed
-/// by the canonical cut-function signature (truth table in cut order +
-/// criticality deltas + `k`/`max_wires`). The outcome is a pure function
-/// of the key, so hit replays are exact; argument errors are not cached.
-///
-/// # Errors
-///
-/// Same contract as [`resynthesize_wires`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resynthesize_cached(
-    exp: &Expansion,
-    c: &Circuit,
-    cut: &[usize],
-    phi: i64,
-    labels: &[i64],
-    height: i64,
-    k: usize,
-    max_wires: usize,
-    cache: &DecompCache,
-) -> Result<Option<Realization>, SynthesisError> {
     if !(1..=2).contains(&max_wires) {
         return Err(SynthesisError::InvalidInput(format!(
             "{max_wires} encoder wires; 1 or 2 are supported"
@@ -184,30 +164,20 @@ pub(crate) fn resynthesize_cached(
         return Ok(None);
     }
     let tt = exp.cone_tt(c, cut)?;
-    let key = SignatureKey {
-        nvars: tt.nvars(),
-        tt: tt.bits().to_vec(),
-        deltas: cut_deltas(exp, cut, phi, labels, height),
-        k: k as u8,
-        max_wires: max_wires as u8,
-    };
+    let deltas = cut_deltas(exp, cut, phi, labels, height);
     let srcs = cut_srcs(exp, cut);
-    if let Some(hit) = cache.get(&key) {
-        return Ok(realize(&hit, &srcs));
-    }
-    let outcome = match decompose_template(&mut TtCut::new(tt), &key.deltas, k, max_wires)? {
-        Some(template) => CachedOutcome::Realized(template),
-        None => CachedOutcome::NoRealization,
-    };
-    let realization = realize(&outcome, &srcs);
-    cache.insert(key, outcome);
+    #[cfg(test)]
+    let table = tt.clone();
+    let realization = decompose_cut(&mut TtCut::new(tt), &deltas, &srcs, k, max_wires)?;
+    #[cfg(test)]
+    tests::record_attempt(table, deltas, k, max_wires, srcs, &realization);
     Ok(realization)
 }
 
 /// Per-cut-input criticality deltas `λ_i − height` (`λ_i = l(u_i) − φ·w_i`),
 /// in cut order. The decomposition pipeline only ever compares λ against
 /// `height − 1` / `height − 2` and takes maxima, so deltas carry all the
-/// timing information — and make signatures probe-independent.
+/// timing information.
 fn cut_deltas(exp: &Expansion, cut: &[usize], phi: i64, labels: &[i64], height: i64) -> Vec<i64> {
     cut.iter()
         .map(|&xi| {
@@ -225,38 +195,6 @@ fn cut_srcs(exp: &Expansion, cut: &[usize]) -> Vec<LutInput> {
             LutInput::Sequential { orig, weight }
         })
         .collect()
-}
-
-/// The realization a decomposition verdict stands for on concrete cut
-/// inputs `srcs`.
-fn realize(outcome: &CachedOutcome, srcs: &[LutInput]) -> Option<Realization> {
-    match outcome {
-        CachedOutcome::Realized(template) => Some(instantiate(template, srcs)),
-        CachedOutcome::NoRealization => None,
-    }
-}
-
-/// Binds a circuit-free [`LutTemplate`] to the concrete cut inputs.
-fn instantiate(template: &LutTemplate, srcs: &[LutInput]) -> Realization {
-    let luts = template
-        .luts
-        .iter()
-        .map(|lut| LutSpec {
-            tt: TruthTable::from_bits(lut.nvars, &lut.bits),
-            inputs: lut
-                .inputs
-                .iter()
-                .map(|inp| match *inp {
-                    TemplateInput::Cut(i) => srcs[i],
-                    TemplateInput::Lut(j) => LutInput::Internal(j),
-                })
-                .collect(),
-        })
-        .collect();
-    Realization {
-        luts,
-        root: template.root,
-    }
 }
 
 /// Rejects a bound set that is empty, wider than [`MAX_BOUND`], or
@@ -283,7 +221,7 @@ fn validate_bound(bound: &[u32]) -> Result<(), SynthesisError> {
 
 /// A cut function under decomposition, seen through the three operations
 /// the window search needs. Variables are numbered as in
-/// [`decompose_template`]: `0..nvars` are the cut inputs, and each
+/// [`decompose_cut`]: `0..nvars` are the cut inputs, and each
 /// extraction names its encoder outputs with fresh numbers above every
 /// variable used so far.
 trait CutFunction {
@@ -404,33 +342,35 @@ impl CutFunction for TtCut {
     }
 }
 
-/// The decomposition pipeline proper, in circuit-free form: `cut` starts
-/// as a function of variables `0..deltas.len()` (variable `i` = cut input
-/// `i`), and `deltas[i]` is input `i`'s criticality relative to the
+/// The decomposition pipeline proper: `cut` starts as a function of
+/// variables `0..deltas.len()` (variable `i` = cut input `i`, fed by
+/// `srcs[i]`), and `deltas[i]` is input `i`'s criticality relative to the
 /// target height (burial requires `delta <= −2`, feeding the root
-/// requires `delta <= −1`). Deterministic in `(f, deltas, k, max_wires)`
-/// alone: the stable criticality sort is keyed on deltas over the initial
-/// cut order, and every extraction verdict is canonical in the function,
-/// whichever [`CutFunction`] implementation computes it.
-fn decompose_template(
+/// requires `delta <= −1`). Deterministic in `(f, deltas, srcs, k,
+/// max_wires)`: the stable criticality sort is keyed on deltas over the
+/// initial cut order, and every extraction verdict is canonical in the
+/// function, whichever [`CutFunction`] implementation computes it.
+fn decompose_cut(
     cut: &mut impl CutFunction,
     deltas: &[i64],
+    srcs: &[LutInput],
     k: usize,
     max_wires: usize,
-) -> Result<Option<LutTemplate>, SynthesisError> {
+) -> Result<Option<Realization>, SynthesisError> {
     // Current root inputs: (variable, criticality delta, source).
     struct Sig {
         var: u32,
         delta: i64,
-        src: TemplateInput,
+        src: LutInput,
     }
     let mut sigs: Vec<Sig> = deltas
         .iter()
+        .zip(srcs)
         .enumerate()
-        .map(|(i, &delta)| Sig {
+        .map(|(i, (&delta, &src))| Sig {
             var: i as u32,
             delta,
-            src: TemplateInput::Cut(i),
+            src,
         })
         .collect();
 
@@ -441,7 +381,7 @@ fn decompose_template(
         return Ok(None); // a critical input cannot even feed the root directly
     }
 
-    let mut luts: Vec<TemplateLut> = Vec::new();
+    let mut luts: Vec<LutSpec> = Vec::new();
     loop {
         let live = cut.support();
         sigs.retain(|s| live.contains(&s.var));
@@ -480,20 +420,18 @@ fn decompose_template(
                         .max()
                         .expect("non-empty bound set")
                         + 1;
-                    let enc_inputs: Vec<TemplateInput> =
+                    let enc_inputs: Vec<LutInput> =
                         sigs[window.clone()].iter().map(|s| s.src).collect();
                     let mut new_sigs = Vec::new();
-                    for (var, enc_tt) in encoders {
-                        let lut_idx = luts.len();
-                        luts.push(TemplateLut {
-                            nvars: enc_tt.nvars(),
-                            bits: enc_tt.bits().to_vec(),
-                            inputs: enc_inputs.clone(),
-                        });
+                    for (var, tt) in encoders {
                         new_sigs.push(Sig {
                             var,
                             delta,
-                            src: TemplateInput::Lut(lut_idx),
+                            src: LutInput::Internal(luts.len()),
+                        });
+                        luts.push(LutSpec {
+                            tt,
+                            inputs: enc_inputs.clone(),
                         });
                     }
                     // Replace the buried inputs by the encoder outputs.
@@ -514,16 +452,13 @@ fn decompose_template(
         return Ok(None);
     }
     let root_vars: Vec<u32> = sigs.iter().map(|s| s.var).collect();
-    let root_tt = cut.dump(&root_vars);
-    let root_inputs: Vec<TemplateInput> = sigs.iter().map(|s| s.src).collect();
     let root = luts.len();
-    luts.push(TemplateLut {
-        nvars: root_tt.nvars(),
-        bits: root_tt.bits().to_vec(),
-        inputs: root_inputs,
+    luts.push(LutSpec {
+        tt: cut.dump(&root_vars),
+        inputs: sigs.iter().map(|s| s.src).collect(),
     });
     debug_assert!(luts.iter().all(|l| l.inputs.len() <= k));
-    Ok(Some(LutTemplate { luts, root }))
+    Ok(Some(Realization { luts, root }))
 }
 
 /// Evaluates a realization on concrete input values (keyed by
@@ -561,6 +496,8 @@ mod tests {
     use super::*;
     use crate::expand::ExpandLimits;
     use crate::{Engine, MapOptions};
+    use std::cell::RefCell;
+    use std::collections::HashMap;
     use turbosyn_bdd::decompose::{decompose, recompose};
     use turbosyn_bdd::{Bdd, Manager};
     use turbosyn_graph::rng::StdRng;
@@ -705,7 +642,7 @@ mod tests {
     }
 
     /// Encoder wire counts other than 1 and 2 are a typed error, not a
-    /// panic, on both the plain and the cached entry point.
+    /// panic.
     #[test]
     fn unsupported_wire_count_is_an_error() {
         let c = gen::figure1();
@@ -716,9 +653,6 @@ mod tests {
         let cut = exp.min_cut(15).expect("wide cut exists");
         for wires in [0, 3] {
             let r = resynthesize_wires(&exp, &c, &cut, 1, &labels, 2, 5, wires);
-            assert!(matches!(r, Err(SynthesisError::InvalidInput(_))), "{r:?}");
-            let cache = DecompCache::default();
-            let r = resynthesize_cached(&exp, &c, &cut, 1, &labels, 2, 5, wires, &cache);
             assert!(matches!(r, Err(SynthesisError::InvalidInput(_))), "{r:?}");
         }
     }
@@ -878,17 +812,29 @@ mod tests {
         v
     }
 
-    /// Template differential: the window search gives byte-identical
-    /// templates — and identical errors — on both implementations, over random
-    /// cut functions of 6–16 inputs, deltas in −4..=0, K ∈ {4, 5, 6, 13}
-    /// and 1 or 2 wires, plus constants and the K = 13 oversized window.
+    /// Cut sources for an `n`-input function: input `i` is node `i`
+    /// delayed by `i mod 3` registers.
+    fn positional_srcs(n: usize) -> Vec<LutInput> {
+        (0..n)
+            .map(|i| LutInput::Sequential {
+                orig: i,
+                weight: (i % 3) as i64,
+            })
+            .collect()
+    }
+
+    /// Realization differential: the window search gives identical
+    /// realizations — and identical errors — on both implementations, over
+    /// random cut functions of 6–16 inputs, deltas in −4..=0, K ∈ {4, 5, 6,
+    /// 13} and 1 or 2 wires, plus constants and the K = 13 oversized window.
     #[test]
-    fn truth_table_templates_match_bdd() {
+    fn truth_table_realizations_match_bdd() {
         let mut rng = StdRng::seed_from_u64(0x7e3f);
         let mut outcomes = [0usize; 4]; // realized (1 LUT, more), none, error
         let check = |f: &TruthTable, deltas: &[i64], k: usize, wires: usize| {
-            let got = decompose_template(&mut TtCut::new(f.clone()), deltas, k, wires);
-            let want = decompose_template(&mut bdd_cut(f), deltas, k, wires);
+            let srcs = positional_srcs(deltas.len());
+            let got = decompose_cut(&mut TtCut::new(f.clone()), deltas, &srcs, k, wires);
+            let want = decompose_cut(&mut bdd_cut(f), deltas, &srcs, k, wires);
             assert_eq!(got, want, "{f:?} deltas {deltas:?} k {k} wires {wires}");
             want
         };
@@ -936,14 +882,50 @@ mod tests {
         ));
     }
 
-    /// Whole-suite oracle: every decomposition verdict TurboSYN reaches on
+    /// One recorded decomposition attempt: cut table, criticality
+    /// deltas, K and wire count.
+    type Attempt = (TruthTable, Vec<i64>, usize, usize);
+
+    /// What an attempt returned the first time it was made: the cut
+    /// sources and the realization (if any).
+    type Verdict = (Vec<LutInput>, Option<Realization>);
+
+    thread_local! {
+        /// Every distinct attempt [`resynthesize_wires`] made on this
+        /// thread while recording is on (`Some`).
+        static ATTEMPTS: RefCell<Option<HashMap<Attempt, Verdict>>> = const { RefCell::new(None) };
+    }
+
+    /// Records a successful attempt of [`resynthesize_wires`], keeping the
+    /// first verdict of each distinct attempt; a no-op unless this thread
+    /// is recording.
+    pub(super) fn record_attempt(
+        table: TruthTable,
+        deltas: Vec<i64>,
+        k: usize,
+        wires: usize,
+        srcs: Vec<LutInput>,
+        realization: &Option<Realization>,
+    ) {
+        ATTEMPTS.with(|attempts| {
+            if let Some(seen) = attempts.borrow_mut().as_mut() {
+                seen.entry((table, deltas, k, wires))
+                    .or_insert_with(|| (srcs, realization.clone()));
+            }
+        });
+    }
+
+    /// Whole-suite oracle: every decomposition attempt TurboSYN makes on
     /// the 16 suite rows, and on kirkman, bbara and cse with two encoder
-    /// wires, replays identically through the BDD implementation. Run it
-    /// in a release build: `cargo test --release -p turbosyn --lib --
-    /// --ignored suite_decompositions_match_the_bdd_oracle --nocapture`.
+    /// wires, replays to the identical realization through the BDD
+    /// implementation. The mappers run with `jobs = 1`, so every attempt
+    /// is made on this thread and recorded. Run it in a release build:
+    /// `cargo test --release -p turbosyn --lib -- --ignored
+    /// suite_decompositions_match_the_bdd_oracle --nocapture`.
     #[test]
     #[ignore = "release-only: maps the whole suite with TurboSYN"]
     fn suite_decompositions_match_the_bdd_oracle() {
+        ATTEMPTS.with(|attempts| *attempts.borrow_mut() = Some(HashMap::new()));
         let engine = Engine::new();
         let suite = gen::suite();
         for b in &suite {
@@ -961,31 +943,33 @@ mod tests {
         {
             engine.turbosyn(&b.circuit, &two_wires).expect("maps");
         }
-        let entries = engine.caches.decomp.entries();
-        assert!(
-            entries.len() < DecompCache::DEFAULT_CAPACITY,
-            "the cache filled up, so some attempts were never recorded"
-        );
+        let attempts = ATTEMPTS
+            .with(|attempts| attempts.borrow_mut().take())
+            .expect("recording was on");
         let (mut realized, mut unrealized) = (0, 0);
-        for (key, outcome) in &entries {
-            let f = TruthTable::from_bits(key.nvars, &key.tt);
-            let k = usize::from(key.k);
-            let wires = usize::from(key.max_wires);
-            let want = match decompose_template(&mut bdd_cut(&f), &key.deltas, k, wires) {
-                Ok(Some(template)) => CachedOutcome::Realized(template),
-                Ok(None) => CachedOutcome::NoRealization,
-                Err(e) => panic!("{key:?}: {e}"),
-            };
-            assert_eq!(outcome, &want, "{key:?}");
+        for ((table, deltas, k, wires), (srcs, got)) in &attempts {
+            let want = decompose_cut(&mut bdd_cut(table), deltas, srcs, *k, *wires)
+                .unwrap_or_else(|e| panic!("{table:?} deltas {deltas:?}: {e}"));
+            assert_eq!(
+                got, &want,
+                "{table:?} deltas {deltas:?} k {k} wires {wires}"
+            );
             match want {
-                CachedOutcome::Realized(_) => realized += 1,
-                CachedOutcome::NoRealization => unrealized += 1,
+                Some(_) => realized += 1,
+                None => unrealized += 1,
             }
         }
-        assert!(realized > 0 && unrealized > 0, "both verdicts occur");
         println!(
-            "checked {} signatures: {realized} realized, {unrealized} without realization",
-            entries.len()
+            "checked {} distinct attempts: {realized} realized, {unrealized} without realization",
+            attempts.len()
         );
+        // The suite's harvest: fewer attempts would mean the oracle
+        // checks less of the mapping path than it is meant to.
+        assert!(
+            attempts.len() >= 35_497,
+            "only {} distinct attempts recorded",
+            attempts.len()
+        );
+        assert!(realized > 0 && unrealized > 0, "both verdicts occur");
     }
 }

@@ -1,7 +1,6 @@
 //! Cache-correctness contract for [`Engine`]: mapping the same circuit
-//! twice through one engine replays the probe lineage and hits the
-//! decomposition cache on the second pass, and still produces an
-//! identical report.
+//! twice through one engine replays the probe lineage on the second
+//! pass, and still produces an identical report.
 
 use turbosyn::{Engine, MapOptions, MapReport};
 use turbosyn_netlist::{blif, gen};
@@ -21,21 +20,15 @@ fn fingerprint(r: &MapReport) -> (i64, usize, u64, i64, Vec<(i64, bool)>, String
 #[test]
 fn second_run_hits_caches_and_matches_first() {
     // figure1 exercises resynthesis (φ drops 2 → 1 through sequential
-    // decomposition), so the decomposition cache sees traffic.
+    // decomposition) over a multi-probe binary search.
     let c = gen::figure1();
     let engine = Engine::new();
     let opts = MapOptions::default();
 
     let first = engine.turbosyn(&c, &opts).expect("first run maps");
-    let after_first = engine.cache_stats();
     let work_first = engine.label_stats();
-    assert!(
-        after_first.decomposition_misses > 0,
-        "the first run must populate the decomposition cache"
-    );
 
     let second = engine.turbosyn(&c, &opts).expect("second run maps");
-    let after_second = engine.cache_stats();
     let work_second = engine.label_stats().delta_since(work_first);
 
     assert_eq!(
@@ -44,12 +37,12 @@ fn second_run_hits_caches_and_matches_first() {
         "cached rerun must be bit-identical"
     );
     assert!(
-        after_second.decomposition_hits > after_first.decomposition_hits,
-        "second run must hit the decomposition cache: {after_second:?}"
-    );
-    assert!(
         work_second.warm_started_probes > 0,
         "second run must warm-start its probes: {work_second:?}"
+    );
+    assert!(
+        work_second.cut_tests < work_first.cut_tests,
+        "second run must test fewer cuts: {work_second:?} vs {work_first:?}"
     );
 }
 

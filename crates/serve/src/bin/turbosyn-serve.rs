@@ -294,14 +294,14 @@ fn client_map(client: &mut Client, rest: &[String]) -> ExitCode {
     };
     println!(
         "status={} worker={} phi={} luts={} registers={} period={} \
-         decomposition_hits={} queue_ms={} run_ms={}",
+         warm_started_probes={} queue_ms={} run_ms={}",
         if response.degraded { "degraded" } else { "ok" },
         response.worker,
         summary("phi"),
         summary("lut_count"),
         summary("register_count"),
         summary("clock_period"),
-        response.cache.decomposition_hits,
+        response.work.warm_started_probes,
         response.queue_ms,
         response.run_ms,
     );

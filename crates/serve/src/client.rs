@@ -9,13 +9,10 @@ use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use turbosyn::{CacheStats, LabelStats};
+use turbosyn::LabelStats;
 use turbosyn_json::Json;
 
-use crate::proto::{
-    cache_stats_from_json, label_stats_from_json, read_frame, MapRequest, ProtoError,
-    DEFAULT_MAX_LINE,
-};
+use crate::proto::{label_stats_from_json, read_frame, MapRequest, ProtoError, DEFAULT_MAX_LINE};
 
 /// Why a client call failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,8 +81,6 @@ pub struct MapResponse {
     pub degraded: bool,
     /// Index of the engine worker that served the request.
     pub worker: u64,
-    /// Cache counter increments attributable to this request alone.
-    pub cache: CacheStats,
     /// Label-work counter increments attributable to this request alone.
     pub work: LabelStats,
     /// Milliseconds spent admitted-but-queued.
@@ -207,10 +202,6 @@ impl Client {
         Ok(MapResponse {
             degraded: reply.get("status").and_then(Json::as_str) == Some("degraded"),
             worker: reply.get("worker").and_then(Json::as_u64).unwrap_or(0),
-            cache: reply
-                .get("cache")
-                .map(cache_stats_from_json)
-                .unwrap_or_default(),
             work: reply
                 .get("work")
                 .map(label_stats_from_json)

@@ -15,8 +15,8 @@
 //!   and owns the graceful-drain barrier.
 //! - [`pool`] — the engine pool: one warm engine per worker thread,
 //!   with jobs routed by circuit fingerprint so resubmitting a circuit
-//!   always hits the same warm cache, and per-request cache deltas are
-//!   exact.
+//!   always replays the same warm probe lineage, and per-request work
+//!   deltas are exact.
 //!
 //! [`server`] ties them together; [`client`] is the matching blocking
 //! client library (used by the `turbosyn-serve --client` mode, the

@@ -1,16 +1,15 @@
 //! The engine pool: worker threads that keep caches warm across
 //! requests.
 //!
-//! Each worker owns one [`Engine`] for its whole lifetime, so the
-//! decomposition cache and probe lineage built by one request are live
-//! for the next. Jobs are routed by the *circuit fingerprint*
+//! Each worker owns one [`Engine`] for its whole lifetime, so the probe
+//! lineage built by one request is live for the next. Jobs are routed by the *circuit fingerprint*
 //! (FNV-1a over the BLIF text): the same circuit always lands on the
 //! same worker, which guarantees the warm-cache path on resubmission
 //! and — because one engine is only ever driven by its one worker
 //! thread — serializes cache binds per engine, so two different
 //! circuits can never interleave on shared per-circuit state.
 //!
-//! Per-request cache deltas are exact for the same reason: the worker
+//! Per-request work deltas are exact for the same reason: the worker
 //! snapshots its engine's counters before and after the run with no
 //! other mutator in between.
 
@@ -20,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use turbosyn::trace::{Summary, TraceSink};
-use turbosyn::{CacheStats, Engine, LabelStats, MapOptions, MapReport, SynthesisError};
+use turbosyn::{Engine, LabelStats, MapOptions, MapReport, SynthesisError};
 use turbosyn_netlist::Circuit;
 
 use crate::proto::Algorithm;
@@ -48,8 +47,6 @@ pub struct MapOutcome {
     pub worker: usize,
     /// The mapper's verdict.
     pub result: Result<MapReport, SynthesisError>,
-    /// Cache counter increments attributable to this job alone.
-    pub cache_delta: CacheStats,
     /// Label-work counter increments attributable to this job alone
     /// (sweeps, cut tests, worklist skips, warm starts, ...).
     pub work_delta: LabelStats,
@@ -68,8 +65,6 @@ pub struct WorkerStats {
     pub degraded: u64,
     /// Jobs that returned a typed error.
     pub failed: u64,
-    /// Cache counters accumulated over every run of this worker's engine.
-    pub cache: CacheStats,
     /// Label-work counters accumulated over every run of this worker's
     /// engine.
     pub work: LabelStats,
@@ -154,7 +149,6 @@ impl Pool {
                 served: w.counters.served.load(Ordering::Relaxed),
                 degraded: w.counters.degraded.load(Ordering::Relaxed),
                 failed: w.counters.failed.load(Ordering::Relaxed),
-                cache: w.engine.cache_stats(),
                 work: w.engine.label_stats(),
             })
             .collect()
@@ -167,13 +161,6 @@ impl Pool {
             .iter()
             .map(|w| w.summary.lock().expect("worker summary poisoned").clone())
             .collect()
-    }
-
-    /// Zeroes every engine's cache counters (entries stay warm).
-    pub fn reset_cache_stats(&self) {
-        for w in &self.workers {
-            w.engine.reset_cache_stats();
-        }
     }
 
     /// Closes the job channels and joins every worker. Queued jobs are
@@ -236,7 +223,6 @@ fn worker_loop(
     while let Ok(job) = rx.recv() {
         counters.running.store(1, Ordering::SeqCst);
         let queue_ms = ms_since(job.admitted_at);
-        let before = engine.cache_stats();
         let work_before = engine.label_stats();
         let started = Instant::now();
         let result = match job.algorithm {
@@ -245,7 +231,6 @@ fn worker_loop(
             Algorithm::FlowSynS => engine.flowsyn_s(&job.circuit, &job.opts),
         };
         let run_ms = ms_since(started);
-        let cache_delta = engine.cache_stats().delta_since(before);
         let work_delta = engine.label_stats().delta_since(work_before);
         let job_summary = engine.trace().drain().summary();
         summary
@@ -270,7 +255,6 @@ fn worker_loop(
         let _ = job.reply.send(MapOutcome {
             worker: index,
             result,
-            cache_delta,
             work_delta,
             queue_ms,
             run_ms,
@@ -310,12 +294,11 @@ mod tests {
     }
 
     #[test]
-    fn same_fingerprint_routes_to_same_worker_and_warms_its_cache() {
+    fn same_fingerprint_routes_to_same_worker_and_warms_its_lineage() {
         let pool = Pool::new(2);
         let text = blif::write(&gen::figure1());
         let fp = fingerprint(&text);
         let mut workers = Vec::new();
-        let mut deltas = Vec::new();
         let mut work = Vec::new();
         for _ in 0..2 {
             let circuit = blif::parse(&text).expect("parses");
@@ -325,24 +308,9 @@ mod tests {
             assert_eq!(outcome.worker, worker);
             outcome.result.as_ref().expect("maps cleanly");
             workers.push(worker);
-            deltas.push(outcome.cache_delta);
             work.push(outcome.work_delta);
         }
         assert_eq!(workers[0], workers[1], "same circuit pins to one worker");
-        // The first run populates the decomposition cache; the warm
-        // second run's mapping replay hits it and misses less.
-        assert!(
-            deltas[0].decomposition_misses > 0,
-            "cold run misses: {:?}",
-            deltas[0]
-        );
-        assert!(
-            deltas[1].decomposition_hits > 0
-                && deltas[1].decomposition_misses < deltas[0].decomposition_misses,
-            "second run rides the warm cache: {:?} vs {:?}",
-            deltas[1],
-            deltas[0]
-        );
         // The pinned worker's engine keeps its probe lineage, so the
         // resubmission warm-starts and does strictly less label work.
         assert!(work[0].sweeps > 0, "cold run sweeps: {:?}", work[0]);
@@ -358,25 +326,6 @@ mod tests {
         let work_total: u64 = stats.iter().map(|s| s.work.sweeps).sum();
         assert_eq!(work_total, work[0].sweeps + work[1].sweeps);
         assert_eq!(pool.in_flight(), 0);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn reset_cache_stats_zeroes_totals() {
-        let pool = Pool::new(1);
-        let text = blif::write(&gen::figure1());
-        let (tx, rx) = mpsc::sync_channel(1);
-        pool.submit(
-            fingerprint(&text),
-            job_for(blif::parse(&text).expect("parses"), tx),
-        )
-        .expect("submits");
-        rx.recv().expect("replies").result.expect("maps");
-        assert!(pool.worker_stats()[0].cache.decomposition_misses > 0);
-        assert!(pool.worker_stats()[0].work.sweeps > 0);
-        pool.reset_cache_stats();
-        assert_eq!(pool.worker_stats()[0].cache, CacheStats::default());
-        assert_eq!(pool.worker_stats()[0].work, LabelStats::default());
         pool.shutdown();
     }
 

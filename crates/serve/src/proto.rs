@@ -17,12 +17,11 @@
 //! `cancelled`, `pong`, or `shutting_down`) echo the request `id`. A `result` frame
 //! carries the canonical [`MapReport` JSON](turbosyn::report_json)
 //! under `"report"` — byte-identical to the one-shot CLI's
-//! `--emit-json` output — plus per-request cache deltas (`"cache"`),
-//! label-work deltas (`"work"`: sweeps, cut tests, worklist skips, warm
-//! starts), and a timing breakdown (`"timing"`), all deliberately
-//! *outside* the report object, because timing and work depend on the
-//! engine's cache/lineage history while the report must stay a pure
-//! function of the input.
+//! `--emit-json` output — plus per-request label-work deltas (`"work"`:
+//! sweeps, cut tests, worklist skips, warm starts) and a timing breakdown
+//! (`"timing"`), both deliberately *outside* the report object, because
+//! timing and work depend on the engine's lineage history while the
+//! report must stay a pure function of the input.
 //!
 //! Hostile input never panics the reader: oversized lines, truncated
 //! frames, invalid UTF-8, malformed JSON, and schema violations each
@@ -31,7 +30,7 @@
 //! established error surface).
 
 use std::io::BufRead;
-use turbosyn::{CacheStats, LabelStats, SynthesisError};
+use turbosyn::{LabelStats, SynthesisError};
 use turbosyn_json::{Json, JsonError};
 
 /// Default ceiling on one frame's byte length (BLIF payloads included).
@@ -482,17 +481,6 @@ fn opt_u64_field(root: &Json, key: &str) -> Result<Option<u64>, ProtoError> {
             .as_u64()
             .map(Some)
             .ok_or_else(|| bad_type(key, "a non-negative integer")),
-    }
-}
-
-/// Decodes a `cache` object back into [`CacheStats`] (client side).
-#[must_use]
-pub fn cache_stats_from_json(j: &Json) -> CacheStats {
-    let get = |key: &str| j.get(key).and_then(Json::as_u64).unwrap_or(0);
-    CacheStats {
-        decomposition_hits: get("decomposition_hits"),
-        decomposition_misses: get("decomposition_misses"),
-        ..CacheStats::default()
     }
 }
 

@@ -28,10 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
-use turbosyn::{
-    cache_stats_to_json, label_stats_to_json, report_to_json, Budget, CancelToken, MapOptions,
-    MapReport,
-};
+use turbosyn::{label_stats_to_json, report_to_json, Budget, CancelToken, MapOptions, MapReport};
 use turbosyn_json::chrome::summary_to_json;
 use turbosyn_json::Json;
 use turbosyn_netlist::blif;
@@ -456,7 +453,6 @@ fn result_frame(id: &str, outcome: &MapOutcome, report: &MapReport) -> Json {
         ("id", Json::from(id)),
         ("status", Json::from(status)),
         ("worker", Json::from(outcome.worker)),
-        ("cache", cache_stats_to_json(&outcome.cache_delta)),
         ("work", label_stats_to_json(&outcome.work_delta)),
         (
             "timing",
@@ -485,7 +481,6 @@ fn stats_frame(shared: &Arc<Shared>, id: &str) -> Json {
                 ("served", Json::from(w.served)),
                 ("degraded", Json::from(w.degraded)),
                 ("failed", Json::from(w.failed)),
-                ("cache", cache_stats_to_json(&w.cache)),
                 ("work", label_stats_to_json(&w.work)),
             ])
         })

@@ -34,9 +34,8 @@ fn start(config: ServeConfig) -> (Server, String) {
 #[test]
 fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
     let (server, addr) = start(ServeConfig::default());
-    // figure1 maps through resynthesis, so it exercises the
-    // decomposition cache (a circuit mapped without resynthesis would
-    // show empty deltas).
+    // figure1 maps through resynthesis and a multi-probe binary search,
+    // so a warm resubmission has probes to replay from the lineage.
     let text = blif::write(&figure1());
 
     // The ground truth: the same engine path the one-shot CLI drives
@@ -65,15 +64,15 @@ fn cold_then_warm_submission_is_byte_identical_and_hits_the_cache() {
     );
     assert_eq!(cold.worker, warm.worker, "fingerprint pins the worker");
     assert!(
-        warm.cache.decomposition_hits > 0,
-        "warm run reports cache hits: {:?}",
-        warm.cache
+        warm.work.warm_started_probes > 0,
+        "warm run replays the lineage: {:?}",
+        warm.work
     );
     assert!(
-        warm.cache.decomposition_misses < cold.cache.decomposition_misses,
-        "warm run misses less: warm {:?} vs cold {:?}",
-        warm.cache,
-        cold.cache
+        warm.work.cut_tests < cold.work.cut_tests,
+        "warm run tests fewer cuts: warm {:?} vs cold {:?}",
+        warm.work,
+        cold.work
     );
 
     client.shutdown().expect("shutdown ack");

@@ -1,6 +1,6 @@
 //! Service quickstart: start an in-process turbosyn-serve instance,
-//! submit the same circuit twice, and watch the second request ride the
-//! warm engine cache.
+//! submit the same circuit twice, and watch the second request replay
+//! the warm engine's probe lineage.
 //!
 //! Run with `cargo run --example service_client`.
 //!
@@ -29,8 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     client.ping()?;
 
     // Submit the paper's Figure 1 circuit twice. The fingerprint router
-    // pins both requests to the same worker, so the second run reuses
-    // the decomposition verdicts cached by the first.
+    // pins both requests to the same worker, so the second run replays
+    // the φ probes the first one converged.
     let text = blif::write(&gen::figure1());
     for round in ["cold", "warm"] {
         let response = client.map_blif(&text)?;
@@ -38,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let luts = response.report.get("lut_count").and_then(Json::as_int);
         println!(
             "{round}: worker={} phi={phi:?} luts={luts:?} \
-             decomposition hits={} misses={} ({} ms queued, {} ms mapping)",
+             warm-started probes={} cut tests={} ({} ms queued, {} ms mapping)",
             response.worker,
-            response.cache.decomposition_hits,
-            response.cache.decomposition_misses,
+            response.work.warm_started_probes,
+            response.work.cut_tests,
             response.queue_ms,
             response.run_ms,
         );

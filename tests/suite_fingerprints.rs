@@ -120,7 +120,7 @@ fn twice(map: impl Fn() -> MapReport) -> MapReport {
 #[ignore = "release-only: runs TurboSYN on three FSM rows and TurboMap on s5378, twice each"]
 fn warm_engine_runs_match_the_golden_fingerprints() {
     // One engine for every row: per-circuit state is flushed between
-    // circuits, and the decomposition cache carries across them.
+    // circuits, and each rerun replays the lineage of the run before it.
     let engine = Engine::new();
     let opts = MapOptions::default();
     check("warm turbosyn", &TURBOSYN, |c| {
